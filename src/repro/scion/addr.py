@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Union
 
 MAX_ISD = (1 << 16) - 1
@@ -91,7 +91,9 @@ class IA:
     precomputed once at construction — as ``hash((isd, asn))``, the exact
     value the dataclass-generated ``__hash__`` produced, so set iteration
     order (and with it every seeded digest) is unchanged — and ``__eq__``
-    compares the two ints directly instead of building field tuples.
+    compares the two ints directly instead of building field tuples, after
+    an identity check: :meth:`parse` and the topology hand out shared
+    instances, so most comparisons end there.
     """
 
     isd: int
@@ -103,6 +105,8 @@ class IA:
         object.__setattr__(self, "_hash", hash((self.isd, self.asn)))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if isinstance(other, IA):
             return self.isd == other.isd and self.asn == other.asn
         return NotImplemented
@@ -111,6 +115,7 @@ class IA:
         return self._hash
 
     @classmethod
+    @lru_cache(maxsize=4096)
     def parse(cls, text: str) -> "IA":
         match = _IA_RE.match(text.strip())
         if not match:

@@ -78,6 +78,9 @@ class SegmentRegistry:
         self._down: Dict[IA, Dict[str, Beacon]] = {}
         #: (origin core, terminal core) -> core segments
         self._core: Dict[Tuple[IA, IA], Dict[str, Beacon]] = {}
+        #: (origin or None, terminal or None) -> matching ``_core`` keys in
+        #: lookup order; built lazily, dropped when the key set changes.
+        self._core_index: Optional[Dict[tuple, List[Tuple[IA, IA]]]] = None
         #: revoked interface key ("IA#ifid") -> the revocation.  Segments
         #: crossing a revoked interface stay registered but are *quarantined*
         #: — filtered out of lookups — until the revocation expires or a
@@ -136,7 +139,10 @@ class SegmentRegistry:
         ):
             return
         key = (segment.origin_ia, segment.terminal_ia)
-        bucket = self._core.setdefault(key, {})
+        bucket = self._core.get(key)
+        if bucket is None:
+            bucket = self._core[key] = {}
+            self._core_index = None
         bucket[segment.interface_fingerprint()] = segment
         self._revalidate_from(segment)
         self.stats.inc("registrations")
@@ -277,6 +283,7 @@ class SegmentRegistry:
                 purged += len(stale)
                 if not bucket:
                     del table[key]
+                    self._core_index = None
         if purged:
             self._version += 1
         self.stats.inc("purged_expired", purged)
@@ -300,16 +307,19 @@ class SegmentRegistry:
         if now is not None:
             self.purge_expired(now)
         self.stats.inc("lookups")
-        out: List[Beacon] = []
-        for (seg_origin, seg_terminal), bucket in sorted(
-            self._core.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))
-        ):
-            if origin is not None and seg_origin != origin:
-                continue
-            if terminal is not None and seg_terminal != terminal:
-                continue
-            out.extend(seg for seg in bucket.values() if not self.is_revoked(seg))
-        return out
+        index = self._core_index
+        if index is None:
+            index = self._core_index = {}
+            for key in sorted(self._core, key=lambda k: (str(k[0]), str(k[1]))):
+                for slot in (None, None), (key[0], None), (None, key[1]), key:
+                    index.setdefault(slot, []).append(key)
+        segments = [
+            seg for key in index.get((origin, terminal), ())
+            for seg in self._core[key].values()
+        ]
+        if self._revocations:
+            segments = [seg for seg in segments if not self.is_revoked(seg)]
+        return segments
 
     def core_ases_with_down_segments(self, dst: IA) -> List[IA]:
         """Origin cores from which ``dst`` is reachable via down segments."""
@@ -341,6 +351,7 @@ class SegmentRegistry:
             for key, bucket in snapshot["core"].items()  # type: ignore[union-attr]
         }
         self._revocations = dict(snapshot.get("revocations", {}))  # type: ignore[arg-type]
+        self._core_index = None
         self._version += 1
 
     def clear(self) -> None:
@@ -349,6 +360,7 @@ class SegmentRegistry:
         revocation ledger after restarting a control service."""
         self._down = {}
         self._core = {}
+        self._core_index = None
         self._revocations = {}
         self._version += 1
 
@@ -638,17 +650,16 @@ class LocalPathServer:
         for core_ia in sorted(local_cores):
             cores.extend(self.registry.core_segments(origin=core_ia))
             cores.extend(self.registry.core_segments(terminal=core_ia))
-        # De-duplicate (a segment can match both queries).
-        seen: Dict[str, Beacon] = {}
-        for seg in cores:
-            seen[seg.interface_fingerprint()] = seg
+        # A segment between two local cores matches both queries; the
+        # registry holds one object per segment, so identity de-duplicates.
+        unique = tuple({id(seg): seg for seg in cores}.values())
         tel = self._telemetry
         if tel.enabled:
             tel.tracer.add(
                 "registry.down_segments", dst=str(dst), count=len(downs)
             )
-            tel.tracer.add("registry.core_segments", count=len(seen))
+            tel.tracer.add("registry.core_segments", count=len(unique))
 
-        result = (tuple(ups), tuple(seen.values()), tuple(downs))
+        result = (tuple(ups), unique, tuple(downs))
         self._cache[dst] = (self._state_version(),) + result
         return result + (LookupTiming(latency, round_trips, False),)

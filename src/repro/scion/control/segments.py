@@ -297,8 +297,25 @@ class Beacon:
 
     # -- conversion to dataplane segments -----------------------------------------
 
-    def to_hops(self, cons_dir: bool) -> PathSegmentHops:
-        return PathSegmentHops(
-            info=InfoField(self.timestamp, self.seg_id, cons_dir),
-            hops=tuple(entry.hop for entry in self.entries),
-        )
+    def to_hops(
+        self, cons_dir: bool, from_index: int = 0,
+        replace_first: Optional[HopField] = None,
+    ) -> PathSegmentHops:
+        """Dataplane view of this segment, optionally truncated at an entry
+        and entered over a peer hop field.
+
+        Memoised per argument triple on the (frozen) beacon, so every path
+        crossing this segment shares one view — and with it the per-segment
+        fragments :class:`PathSegmentHops` caches.
+        """
+        views = self.__dict__.setdefault("_views", {})
+        key = (cons_dir, from_index, replace_first)
+        view = views.get(key)
+        if view is None:
+            hops = tuple(entry.hop for entry in self.entries[from_index:])
+            if replace_first is not None:
+                hops = (replace_first,) + hops[1:]
+            view = views[key] = PathSegmentHops(
+                InfoField(self.timestamp, self.seg_id, cons_dir), hops
+            )
+        return view

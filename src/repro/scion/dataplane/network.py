@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+from repro.netsim.link import Link
 from repro.netsim.simulator import Simulator
 from repro.obs import Telemetry, resolve
 from repro.scion.addr import IA
@@ -22,7 +23,7 @@ from repro.scion.crypto.keys import SymmetricKey
 from repro.scion.crypto.rsa import RsaKeyPair
 from repro.scion.dataplane.router import BorderRouter, Verdict
 from repro.scion.packet import ScionPacket
-from repro.scion.path import DataplanePath
+from repro.scion.path import DataplanePath, HopRecord
 from repro.scion.revocation import (
     DEFAULT_REVOCATION_TTL_S,
     Revocation,
@@ -377,27 +378,48 @@ class ScionDataplane:
         latency is charged, not the seg-last parent egress.  A link whose
         far end is not the next AS on the path would make :meth:`walk`
         fail with ``path-link-mismatch``, so its latency is not charged.
+
+        Which links a segment crosses is memoised on the (frozen) segment
+        per topology — interfaces are only ever added, never re-homed — and
+        the latencies are read live, in the original summation order.
         """
         total = 0.0
-        records = path.forwarding_plan()
-        for index, record in enumerate(records):
-            total += self.router_processing_s
-            if index + 1 >= len(records):
-                break
-            next_record = records[index + 1]
-            if next_record.hop.ia == record.hop.ia:
-                # Segment switch inside one AS (core joint, shortcut
-                # crossover): no link is crossed.
-                continue
-            _, egress = record.oriented()
-            link = self.topology.link_between(record.hop.ia, egress)
-            if link is None:
-                continue
-            iface = self.topology.get(record.hop.ia).interfaces[egress]
-            if iface.remote_ia != next_record.hop.ia:
-                continue
-            total += link.latency_s
+        processing = self.router_processing_s
+        previous: Optional[HopRecord] = None
+        for index, segment in enumerate(path.segments):
+            records = segment.records(index)
+            if previous is not None:
+                joint = self._link_crossed(previous, records[0])
+                if joint is not None:
+                    total += joint.latency_s
+            memo = segment.__dict__.get("_links")
+            if memo is None or memo[0] is not self.topology:
+                memo = segment.__dict__["_links"] = (self.topology, tuple(
+                    self._link_crossed(here, there)
+                    for here, there in zip(records, records[1:])
+                ))
+            for link in memo[1]:
+                total += processing
+                if link is not None:
+                    total += link.latency_s
+            total += processing
+            previous = records[-1]
         return total
+
+    def _link_crossed(
+        self, record: HopRecord, next_record: HopRecord
+    ) -> Optional[Link]:
+        """The link a packet takes from ``record`` to ``next_record``, if any."""
+        if next_record.hop.ia == record.hop.ia:
+            # Segment switch inside one AS (core joint, shortcut
+            # crossover): no link is crossed.
+            return None
+        _, egress = record.oriented()
+        link = self.topology.link_between(record.hop.ia, egress)
+        if link is None:
+            return None
+        iface = self.topology.get(record.hop.ia).interfaces[egress]
+        return link if iface.remote_ia == next_record.hop.ia else None
 
     # -- event-driven delivery -----------------------------------------------------
 

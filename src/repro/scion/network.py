@@ -126,7 +126,7 @@ class ScionNetwork:
             service.path_server.revocation_verifier = self.verify_revocation
 
         # 3-4. Beaconing and registration.
-        self._path_cache: Dict[Tuple[IA, IA], List[PathMeta]] = {}
+        self._path_cache: Dict[Tuple[IA, IA], Tuple[PathMeta, ...]] = {}
         self._path_cache_version = self.registry.version
         self.beaconing: Optional[BeaconingEngine] = None
         if run_beaconing:
@@ -405,29 +405,18 @@ class ScionNetwork:
             self._path_cache.clear()
             self._path_cache_version = self.registry.version
         key = (src, dst)
-        if not refresh and deadline_s is None and key in self._path_cache:
-            metas = self._path_cache[key]
-        else:
+        metas = None
+        if not refresh and deadline_s is None:
+            metas = self._path_cache.get(key)
+        if metas is None:
             src_topo = self.topology.get(src)
             dst_topo = self.topology.get(dst)
             ups, cores, downs, _ = self.services[src].path_server.segments_for(
                 dst, now=now, deadline_s=deadline_s, priority=priority
             )
-            tel = self.telemetry
-            if tel.enabled:
-                with tel.tracer.span(
-                    "combinator.combine", src=str(src), dst=str(dst)
-                ) as span:
-                    raw = combine_paths(
-                        src, dst,
-                        up_segments=[] if src_topo.is_core else ups,
-                        core_segments=cores,
-                        down_segments=[] if dst_topo.is_core else downs,
-                        src_is_core=src_topo.is_core,
-                        dst_is_core=dst_topo.is_core,
-                    )
-                    span.attrs["paths"] = str(len(raw))
-            else:
+            with self.telemetry.tracer.span(
+                "combinator.combine", src=str(src), dst=str(dst)
+            ) as span:
                 raw = combine_paths(
                     src, dst,
                     up_segments=[] if src_topo.is_core else ups,
@@ -436,11 +425,11 @@ class ScionNetwork:
                     src_is_core=src_topo.is_core,
                     dst_is_core=dst_topo.is_core,
                 )
-            metas = [self._meta(path) for path in raw]
-            self._path_cache[key] = metas
-        if max_paths is not None:
-            return metas[:max_paths]
-        return metas
+                span.attrs["paths"] = str(len(raw))
+            # A tuple in the memo, a fresh list out: callers may sort or
+            # clear what they get without corrupting the next lookup.
+            metas = self._path_cache[key] = tuple(map(self._meta, raw))
+        return list(metas[:max_paths])
 
     def _meta(self, path: DataplanePath) -> PathMeta:
         return PathMeta(

@@ -11,22 +11,26 @@ being recovered by the router via the segID XOR trick; routers still
 recompute and verify the MAC with their own secret key, so hop fields
 remain unforgeable and unsplicable by anyone else.
 
-Performance: a :class:`DataplanePath` is immutable, but its derived views
-(forwarding plan, hop list, interface ids, fingerprint) used to be rebuilt
-on every packet walk — the dominant allocation source on the dataplane hot
-path.  They are now computed once per path and cached on the instance
-(frozen dataclasses keep a ``__dict__``, so the memo bypasses the frozen
-``__setattr__`` without affecting equality or hashing, which remain
-field-based).  Interface-id strings are ``sys.intern``-ed: measurement
-campaigns compare millions of them for disjointness and set membership,
-and interning turns those comparisons into pointer checks.
+Performance: segments and paths are immutable, so their derived views are
+computed once and cached on the instance (frozen dataclasses keep a
+``__dict__``, so the memo bypasses the frozen ``__setattr__`` without
+affecting equality or hashing, which remain field-based).  The per-hop work
+(forwarding order, oriented :class:`HopRecord`s, interface ids, AS sequence)
+is memoised on the :class:`PathSegmentHops`; the combinator hands the *same*
+segment object to every path crossing it, so a :class:`DataplanePath`'s
+plan, interface ids and AS sequence are concatenations of shared fragments.
+Interface-id strings are ``sys.intern``-ed: measurement campaigns compare
+millions of them for disjointness and set membership, and interning turns
+those comparisons into pointer checks.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.scion.addr import IA
@@ -40,6 +44,29 @@ DEFAULT_HOP_EXPIRY_S = 24 * 3600
 
 class PathError(Exception):
     """Raised for malformed or inconsistent paths."""
+
+
+def _memoised(build):
+    """Method decorator: compute once per frozen instance, keep the value
+    in its ``__dict__`` (never ``None``), hand the same object out after."""
+    key = "_" + build.__name__
+
+    @functools.wraps(build)
+    def cached(self):
+        value = self.__dict__.get(key)
+        if value is None:
+            value = self.__dict__[key] = build(self)
+        return value
+
+    return cached
+
+
+def _dedup_adjacent(ias: Iterable[IA]) -> Tuple[IA, ...]:
+    seq: List[IA] = []
+    for ia in ias:
+        if not seq or seq[-1] != ia:
+            seq.append(ia)
+    return tuple(seq)
 
 
 @dataclass(frozen=True)
@@ -105,6 +132,10 @@ class InfoField:
     cons_dir: bool       # True if the packet travels in construction direction
 
 
+#: Memo slot of a segment's hop records, per position in the path.
+_PLAN_KEYS = ("_plan0", "_plan1", "_plan2")
+
+
 @dataclass(frozen=True)
 class PathSegmentHops:
     """One segment of a dataplane path: info field + ordered hop fields.
@@ -117,9 +148,39 @@ class PathSegmentHops:
     info: InfoField
     hops: Tuple[HopField, ...]
 
+    @_memoised
     def forwarding_hops(self) -> Tuple[HopField, ...]:
         """Hops in the order the packet actually visits them."""
-        return self.hops if self.info.cons_dir else tuple(reversed(self.hops))
+        return self.hops if self.info.cons_dir else self.hops[::-1]
+
+    def records(self, seg_index: int) -> Tuple["HopRecord", ...]:
+        """This segment's hops as the ``seg_index``-th segment of a plan."""
+        records = self.__dict__.get(_PLAN_KEYS[seg_index])
+        if records is None:
+            info = self.info
+            fwd = self.forwarding_hops()
+            last = len(fwd) - 1
+            records = self.__dict__[_PLAN_KEYS[seg_index]] = tuple(
+                HopRecord(hop, info, seg_index, pos == 0, pos == last,
+                          *oriented_interfaces(hop, info))
+                for pos, hop in enumerate(fwd)
+            )
+        return records
+
+    @_memoised
+    def interface_ids(self) -> Tuple[str, ...]:
+        ids: List[str] = []
+        for record in self.records(0):
+            hop = record.hop
+            if record.ingress:
+                ids.append(sys.intern(f"{hop.ia}#{record.ingress}"))
+            if record.egress:
+                ids.append(sys.intern(f"{hop.ia}#{record.egress}"))
+        return tuple(ids)
+
+    @_memoised
+    def as_sequence(self) -> Tuple[IA, ...]:
+        return _dedup_adjacent(hop.ia for hop in self.forwarding_hops())
 
 
 @dataclass(frozen=True)
@@ -137,69 +198,44 @@ class DataplanePath:
         if not (1 <= len(self.segments) <= 3):
             raise PathError(f"a path has 1..3 segments, got {len(self.segments)}")
 
-    def _memo(self, key: str, build):
-        cached = self.__dict__.get(key)
-        if cached is None:
-            cached = build()
-            self.__dict__[key] = cached
-        return cached
-
+    @_memoised
     def hops(self) -> Tuple[Tuple[HopField, InfoField], ...]:
         """All hops in forwarding order, paired with their info field."""
-        return self._memo("_hops", self._build_hops)
-
-    def _build_hops(self) -> Tuple[Tuple[HopField, InfoField], ...]:
-        out: List[Tuple[HopField, InfoField]] = []
-        for seg in self.segments:
-            for hop in seg.forwarding_hops():
-                out.append((hop, seg.info))
-        return tuple(out)
+        return tuple(
+            (hop, seg.info)
+            for seg in self.segments for hop in seg.forwarding_hops()
+        )
 
     def as_sequence(self) -> List[IA]:
         """The sequence of ASes visited, de-duplicating segment joints."""
-        seq: List[IA] = []
-        for hop, _ in self.hops():
-            if not seq or seq[-1] != hop.ia:
-                seq.append(hop.ia)
-        return seq
+        return list(self._as_sequence())
 
+    @_memoised
+    def _as_sequence(self) -> Tuple[IA, ...]:
+        return _dedup_adjacent(
+            chain.from_iterable(seg.as_sequence() for seg in self.segments)
+        )
+
+    @_memoised
     def forwarding_plan(self) -> Tuple["HopRecord", ...]:
         """All hops in forwarding order with segment-boundary annotations.
 
         Built once and cached: every packet walk and every event-driven hop
         used to rebuild this list, which made per-hop cost O(path length).
         """
-        return self._memo("_plan", self.build_forwarding_plan)
-
-    def build_forwarding_plan(self) -> Tuple["HopRecord", ...]:
-        """Uncached plan construction (the benchmark baseline path)."""
-        out: List[HopRecord] = []
-        for seg_index, seg in enumerate(self.segments):
-            fwd = seg.forwarding_hops()
-            last = len(fwd) - 1
-            for pos, hop in enumerate(fwd):
-                ingress, egress = oriented_interfaces(hop, seg.info)
-                out.append(
-                    HopRecord(
-                        hop=hop,
-                        info=seg.info,
-                        seg_index=seg_index,
-                        is_seg_first=(pos == 0),
-                        is_seg_last=(pos == last),
-                        ingress=ingress,
-                        egress=egress,
-                    )
-                )
-        return tuple(out)
+        return tuple(chain.from_iterable(
+            seg.records(index) for index, seg in enumerate(self.segments)
+        ))
 
     @property
     def src_ia(self) -> IA:
-        return self.hops()[0][0].ia
+        return self.segments[0].forwarding_hops()[0].ia
 
     @property
     def dst_ia(self) -> IA:
-        return self.hops()[-1][0].ia
+        return self.segments[-1].forwarding_hops()[-1].ia
 
+    @_memoised
     def interface_ids(self) -> Tuple[str, ...]:
         """Globally unique interface ids traversed (paper, Section 5.4).
 
@@ -207,28 +243,18 @@ class DataplanePath:
         set-membership checks over millions of probes then compare by
         identity in the common case.
         """
-        return self._memo("_iface_ids", self._build_interface_ids)
+        return tuple(chain.from_iterable(
+            seg.interface_ids() for seg in self.segments
+        ))
 
-    def _build_interface_ids(self) -> Tuple[str, ...]:
-        ids: List[str] = []
-        for record in self.forwarding_plan():
-            hop = record.hop
-            if record.ingress:
-                ids.append(sys.intern(f"{hop.ia}#{record.ingress}"))
-            if record.egress:
-                ids.append(sys.intern(f"{hop.ia}#{record.egress}"))
-        return tuple(ids)
-
+    @_memoised
     def fingerprint(self) -> str:
         """Stable short identifier for this path (by interfaces traversed)."""
-        return self._memo("_fingerprint", self._build_fingerprint)
-
-    def _build_fingerprint(self) -> str:
         raw = "|".join(self.interface_ids()).encode()
         return hashlib.sha256(raw).hexdigest()[:16]
 
     def num_as_hops(self) -> int:
-        return len(self.as_sequence())
+        return len(self._as_sequence())
 
     def min_expiry(self) -> int:
         return min(hop.expiry for hop, _ in self.hops())

@@ -168,6 +168,9 @@ class GlobalTopology:
         if name in self.links:
             raise TopologyError(f"link {name!r} already exists")
         link = Link(name, str(a), str(b), latency_s, bandwidth_bps=bandwidth_bps)
+        # The ASes' own IA instances, not the caller's equal copies: one
+        # shared object per AS makes IA comparisons identity checks.
+        a, b = topo_a.ia, topo_b.ia
         iface_a = topo_a.allocate_interface(a_type, b, name)
         iface_b = topo_b.allocate_interface(_INVERSE_TYPE[a_type], a, name)
         iface_a.remote_ifid = iface_b.ifid

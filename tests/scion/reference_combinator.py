@@ -1,36 +1,60 @@
-"""Segment combination: turning registered segments into end-to-end paths.
+"""Reference combinator: the pre-memoisation ``combine_paths``, verbatim.
 
-A collection of up, core, and down segments "typically allows for a variety
-of combinations, including shortcuts and utilization of peering links, to
-create a multitude of end-to-end paths" (Section 2 of the paper). This
-module enumerates those combinations:
-
-* **up + core + down** — the standard three-segment path;
-* **up + down** — when both segments hang off the same core AS;
-* **shortcut** — when the up and down segments share a non-core AS, both
-  are truncated there and spliced;
-* **peering** — when an AS on the up segment advertises a peering link to
-  an AS on the down segment, the path crosses over the peering link using
-  the peer hop fields minted during beaconing;
-* degenerate forms when the source and/or destination are core ASes.
-
-Hop fields are reused exactly as registered (their MACs bind them to the
-segment), so combination is a pure data-plane-header operation — no new
-cryptography happens at path construction time, which is what makes SCION
-path choice an end-host operation.
+Test-only.  This is the combinator as it stood before paths were composed
+from per-segment memoised views: it materialises a fresh
+:class:`PathSegmentHops` for every core segment in both directions and
+builds every :class:`DataplanePath` from scratch.  Slow and obviously
+right — ``test_combinator_differential.py`` checks the shipped combinator
+against it, fingerprint for fingerprint and in the same order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.scion.addr import IA
-from repro.scion.control.segments import Beacon
-from repro.scion.path import DataplanePath, HopField, PathSegmentHops
+from repro.scion.control.combinator import CombinatorError
+from repro.scion.control.segments import ASEntry, Beacon
+from repro.scion.path import (
+    DataplanePath,
+    HopField,
+    InfoField,
+    PathSegmentHops,
+)
 
 
-class CombinatorError(Exception):
-    """Raised for invalid combination requests."""
+def _seg_hops(beacon: Beacon, cons_dir: bool,
+              from_index: int = 0,
+              replace_first: Optional[HopField] = None) -> PathSegmentHops:
+    """Dataplane segment from a beacon, optionally truncated at an entry."""
+    hops = [entry.hop for entry in beacon.entries[from_index:]]
+    if replace_first is not None:
+        hops[0] = replace_first
+    return PathSegmentHops(
+        info=InfoField(beacon.timestamp, beacon.seg_id, cons_dir),
+        hops=tuple(hops),
+    )
+
+
+def _up(beacon: Beacon, from_index: int = 0,
+        replace_first: Optional[HopField] = None) -> PathSegmentHops:
+    """An up segment: constructed core->leaf, traversed leaf->core."""
+    return _seg_hops(beacon, cons_dir=False, from_index=from_index,
+                     replace_first=replace_first)
+
+
+def _down(beacon: Beacon, from_index: int = 0,
+          replace_first: Optional[HopField] = None) -> PathSegmentHops:
+    return _seg_hops(beacon, cons_dir=True, from_index=from_index,
+                     replace_first=replace_first)
+
+
+def _core_forward(beacon: Beacon) -> PathSegmentHops:
+    return _seg_hops(beacon, cons_dir=True)
+
+
+def _core_reversed(beacon: Beacon) -> PathSegmentHops:
+    return _seg_hops(beacon, cons_dir=False)
 
 
 def _shortcut_index(up_seg: Beacon, down_seg: Beacon) -> Optional[Tuple[int, int]]:
@@ -107,44 +131,44 @@ def combine_paths(
 
     paths: Dict[str, DataplanePath] = {}
 
-    def add(*segments: PathSegmentHops) -> None:
-        if segments:
-            path = DataplanePath(segments)
-            paths.setdefault(path.fingerprint(), path)
+    def add(segments: Tuple[PathSegmentHops, ...]) -> None:
+        if not segments:
+            return
+        path = DataplanePath(segments)
+        paths.setdefault(path.fingerprint(), path)
 
     # Pseudo-segments for core endpoints: a core src acts as its own C_up.
-    up_options: List[Tuple[IA, Tuple[PathSegmentHops, ...]]] = (
-        [(src, ())] if src_is_core
-        else [(seg.origin_ia, (seg.to_hops(False),)) for seg in up_segments]
+    up_options: List[Tuple[IA, Optional[Beacon]]] = (
+        [(src, None)] if src_is_core
+        else [(seg.origin_ia, seg) for seg in up_segments]
     )
-    down_options: List[Tuple[IA, Tuple[PathSegmentHops, ...]]] = (
-        [(dst, ())] if dst_is_core
-        else [(seg.origin_ia, (seg.to_hops(True),)) for seg in down_segments]
+    down_options: List[Tuple[IA, Optional[Beacon]]] = (
+        [(dst, None)] if dst_is_core
+        else [(seg.origin_ia, seg) for seg in down_segments]
     )
 
-    # Index, don't build: a core segment serves the (origin, terminal) joint
-    # forward and the (terminal, origin) joint reversed; its dataplane view
-    # is only materialised for joints some up/down pair actually asks for.
-    # Path servers answer bucket by bucket, so consecutive segments mostly
-    # share their joint and the two lists are looked up once per run.
-    core_by_joint: Dict[Tuple[IA, IA], List[Tuple[Beacon, bool]]] = {}
-    origin = terminal = None
+    core_by_dir: Dict[Tuple[IA, IA], List[PathSegmentHops]] = {}
     for seg in core_segments:
-        entries = seg.entries
-        if entries[0].ia is not origin or entries[-1].ia is not terminal:
-            origin, terminal = entries[0].ia, entries[-1].ia
-            forward = core_by_joint.setdefault((origin, terminal), [])
-            backward = core_by_joint.setdefault((terminal, origin), [])
-        forward.append((seg, True))
-        backward.append((seg, False))
+        core_by_dir.setdefault(
+            (seg.origin_ia, seg.terminal_ia), []
+        ).append(_core_forward(seg))
+        core_by_dir.setdefault(
+            (seg.terminal_ia, seg.origin_ia), []
+        ).append(_core_reversed(seg))
 
-    for c_up, up_part in up_options:
-        for c_down, down_part in down_options:
+    for c_up, up_seg in up_options:
+        up_part: Tuple[PathSegmentHops, ...] = (
+            (_up(up_seg),) if up_seg is not None else ()
+        )
+        for c_down, down_seg in down_options:
+            down_part: Tuple[PathSegmentHops, ...] = (
+                (_down(down_seg),) if down_seg is not None else ()
+            )
             if c_up == c_down:
-                add(*up_part, *down_part)
+                add(up_part + down_part)
                 continue
-            for seg, cons_dir in core_by_joint.get((c_up, c_down), ()):
-                add(*up_part, seg.to_hops(cons_dir), *down_part)
+            for core_part in core_by_dir.get((c_up, c_down), []):
+                add(up_part + (core_part,) + down_part)
 
     # Shortcuts and peering need real up and down segments on both sides.
     if not src_is_core and not dst_is_core:
@@ -153,14 +177,18 @@ def combine_paths(
                 crossover = _shortcut_index(up_seg, down_seg)
                 if crossover is not None:
                     u_idx, d_idx = crossover
-                    add(up_seg.to_hops(False, u_idx),
-                        down_seg.to_hops(True, d_idx))
+                    add((
+                        _up(up_seg, from_index=u_idx),
+                        _down(down_seg, from_index=d_idx),
+                    ))
                 if include_peering:
                     for u_idx, u_hop, d_idx, d_hop in _peering_splices(
                         up_seg, down_seg
                     ):
-                        add(up_seg.to_hops(False, u_idx, u_hop),
-                            down_seg.to_hops(True, d_idx, d_hop))
+                        add((
+                            _up(up_seg, from_index=u_idx, replace_first=u_hop),
+                            _down(down_seg, from_index=d_idx, replace_first=d_hop),
+                        ))
 
     ordered = sorted(
         paths.values(), key=lambda p: (p.num_as_hops(), p.fingerprint())

@@ -127,6 +127,17 @@ class TestPathLookupAndCombination:
     def test_same_as_returns_empty(self, diamond_network):
         assert diamond_network.paths(A, A) == []
 
+    def test_callers_cannot_corrupt_the_paths_memo(self, diamond_network):
+        """Regression: ``paths()`` handed out its memoised list, so a
+        caller's ``clear()`` or in-place sort changed the next lookup."""
+        first = diamond_network.paths(A, B)
+        want = [meta.fingerprint for meta in first]
+        first.reverse()
+        first.clear()
+        again = diamond_network.paths(A, B)
+        assert [meta.fingerprint for meta in again] == want
+        assert again is not diamond_network.paths(A, B)
+
     def test_all_paths_probe_successfully(self, diamond_network):
         for meta in diamond_network.paths(A, B):
             result = diamond_network.probe(meta)
