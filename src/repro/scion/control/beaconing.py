@@ -145,21 +145,26 @@ class BeaconStore:
             return candidates
         chosen: List[Beacon] = []
         covered: Set[str] = set()
-        remaining = candidates[:]
-        while remaining and len(chosen) < k:
-            def score(beacon: Beacon) -> Tuple[int, int, str]:
-                ifaces = {
-                    f"{e.ia}#{e.hop.cons_ingress}" for e in beacon.entries
-                } | {f"{e.ia}#{e.hop.cons_egress}" for e in beacon.entries}
-                new = len(ifaces - covered)
-                return (-new, len(beacon), beacon.interface_fingerprint())
+        # Interface sets are built once per call, not once per greedy round.
+        ifaces = [
+            {
+                f"{e.ia}#{ifid}" for e in beacon.entries
+                for ifid in (e.hop.cons_ingress, e.hop.cons_egress)
+            }
+            for beacon in candidates
+        ]
 
+        def score(i: int) -> Tuple[int, int, str]:
+            beacon = candidates[i]
+            new = len(ifaces[i] - covered)
+            return (-new, len(beacon), beacon.interface_fingerprint())
+
+        remaining = list(range(len(candidates)))
+        while remaining and len(chosen) < k:
             best = min(remaining, key=score)
             remaining.remove(best)
-            chosen.append(best)
-            for entry in best.entries:
-                covered.add(f"{entry.ia}#{entry.hop.cons_ingress}")
-                covered.add(f"{entry.ia}#{entry.hop.cons_egress}")
+            chosen.append(candidates[best])
+            covered |= ifaces[best]
         return chosen
 
     def select_all(self, k_per_origin: int, max_detour: int = 2,
@@ -338,7 +343,7 @@ class BeaconingEngine:
             return False
         if self.verify_beacons:
             try:
-                beacon.verify(self.key_resolver, self.timestamp)
+                beacon.verify(self.key_resolver)
             except BeaconError:
                 self.stats.beacons_rejected_invalid += 1
                 self._security_forged_beacons.inc()

@@ -17,7 +17,8 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.scion.addr import IA
 from repro.scion.crypto.cppki import Certificate, CertificateError, verify_chain
@@ -159,22 +160,30 @@ class Beacon:
 
     # -- signing and verification --------------------------------------------------
 
+    def _signing_messages(self) -> Iterator[bytes]:
+        """The message signed by the AS at each index, in order: all prior
+        entries (including their signatures) plus its own unsigned payload —
+        ``canonical_bytes({"timestamp", "seg_id", "prefix": [...], "entry"})``.
+
+        Assembled from pieces so each entry is serialised once per call: keys
+        sort entry < prefix < seg_id < timestamp, and a signed entry is the
+        unsigned one plus a ``"signature"`` key, which sorts last.
+        """
+        tail = b"]," + canonical_bytes(
+            {"seg_id": self.seg_id, "timestamp": self.timestamp}
+        )[1:]
+        prefix = b""
+        for entry in self.entries:
+            own = canonical_bytes(entry.payload())
+            yield b'{"entry":%b,"prefix":[%b%b' % (own, prefix, tail)
+            signed = b'%b,"signature":%b}' % (
+                own[:-1], canonical_bytes(entry.signature)
+            )
+            prefix = prefix + b"," + signed if prefix else signed
+
     def _signing_message(self, upto: int) -> bytes:
-        """Message signed by the AS at index ``upto``: all prior entries
-        (including their signatures) plus its own unsigned payload."""
-        prefix = [
-            {**entry.payload(), "signature": entry.signature}
-            for entry in self.entries[:upto]
-        ]
-        own = self.entries[upto].payload()
-        return canonical_bytes(
-            {
-                "timestamp": self.timestamp,
-                "seg_id": self.seg_id,
-                "prefix": prefix,
-                "entry": own,
-            }
-        )
+        """Message signed by the AS at index ``upto``."""
+        return next(islice(self._signing_messages(), upto, None))
 
     def with_entry(
         self,
@@ -187,24 +196,20 @@ class Beacon:
         signed_entry = replace(entry, signature=sign(signing_key, message))
         return Beacon(self.timestamp, self.seg_id, self.entries + (signed_entry,))
 
-    def verify(
-        self,
-        key_resolver: Callable[[IA], "RsaPublicKey"],
-        now: float,
-    ) -> None:
+    def verify(self, key_resolver: Callable[[IA], "RsaPublicKey"]) -> None:
         """Verify every entry's signature and the hop-field beta chain.
 
         ``key_resolver`` returns the *already chain-validated* public key of
-        an AS (see :func:`make_validating_key_resolver`) or raises
-        :class:`BeaconError`. Keeping certificate-chain validation in the
-        resolver lets callers cache it — a beacon store re-verifies many
-        beacons signed by the same handful of ASes.
+        an AS (see :func:`make_validating_key_resolver`, which binds the
+        validation time) or raises :class:`BeaconError`. Keeping chain
+        validation in the resolver lets callers cache it — a beacon store
+        re-verifies many beacons signed by the same handful of ASes.
         """
         beta = self.seg_id
+        messages = self._signing_messages()
         for index, entry in enumerate(self.entries):
             public_key = key_resolver(entry.ia)
-            message = self._signing_message(index)
-            if not verify(public_key, message, entry.signature):
+            if not verify(public_key, next(messages), entry.signature):
                 raise BeaconError(f"bad signature from {entry.ia} at index {index}")
             if entry.hop.beta != beta:
                 raise BeaconError(

@@ -1,8 +1,8 @@
 """A compact RSA implementation for the simulated control-plane PKI.
 
 This is real RSA — probabilistic-prime keygen (Miller-Rabin), textbook
-hash-then-sign with a fixed-pattern padding, public verification — sized for
-simulation speed rather than production security. Default modulus is 512
+hash-then-sign with a fixed-pattern padding (CRT), public verification — sized
+for simulation speed rather than production security. Default modulus is 512
 bits (two 256-bit primes); tests that exercise the PKI structure do not need
 128-bit security, they need genuine asymmetric verification so that forged
 beacons, certificates and TRC updates are actually rejected.
@@ -13,6 +13,7 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -77,11 +78,16 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaKeyPair:
-    """An RSA key pair. Treat ``d`` as private."""
+    """An RSA key pair; ``d`` and its CRT form ``p, q, dp, dq, qinv`` are private."""
 
     n: int
     e: int
     d: int
+    p: int
+    q: int
+    dp: int
+    dq: int
+    qinv: int
 
     @classmethod
     def generate(
@@ -101,7 +107,10 @@ class RsaKeyPair:
             if phi % PUBLIC_EXPONENT == 0:
                 continue
             d = pow(PUBLIC_EXPONENT, -1, phi)
-            return cls(n=n, e=PUBLIC_EXPONENT, d=d)
+            return cls(
+                n=n, e=PUBLIC_EXPONENT, d=d, p=p, q=q,
+                dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p),
+            )
 
     @property
     def public(self) -> RsaPublicKey:
@@ -123,16 +132,33 @@ def _encode_digest(message: bytes, n: int) -> int:
 
 
 def sign(key: RsaKeyPair, message: bytes) -> int:
-    """Sign a message with the private exponent."""
-    return pow(_encode_digest(message, key.n), key.d, key.n)
+    """Sign a message with the private exponent: CRT, two half-size
+    exponentiations whose recombination equals ``pow(m, d, n)`` bit for bit."""
+    m = _encode_digest(message, key.n)
+    m_p = pow(m, key.dp, key.p)
+    m_q = pow(m, key.dq, key.q)
+    return m_q + key.q * ((key.qinv * (m_p - m_q)) % key.p)
+
+
+@functools.lru_cache(maxsize=4096)
+def _public_op(signature: int, e: int, n: int) -> int:
+    """``signature ** e mod n``. Every AS on a beacon's way re-verifies the
+    entries its upstreams verified, so most calls repeat. Only this pure
+    function is memoised, never a verdict: :func:`verify` compares against
+    the digest of the message it was handed on every call."""
+    return pow(signature, e, n)
 
 
 def verify(key: RsaPublicKey, message: bytes, signature: int) -> bool:
     """Verify a signature with the public key. Never raises on bad input."""
-    if not isinstance(signature, int) or not (0 < signature < key.n):
+    if (
+        not isinstance(signature, int)
+        or isinstance(signature, bool)
+        or not (0 < signature < key.n)
+    ):
         return False
     try:
         expected = _encode_digest(message, key.n)
     except ValueError:
         return False
-    return pow(signature, key.e, key.n) == expected
+    return _public_op(signature, key.e, key.n) == expected

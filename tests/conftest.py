@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sciera.build import ScieraWorld, build_sciera
 from repro.scion.addr import IA
 from repro.scion.network import ScionNetwork
 from repro.scion.topology import GlobalTopology, LinkType
@@ -90,6 +91,16 @@ def peering_network() -> ScionNetwork:
 @pytest.fixture(scope="session")
 def shortcut_network() -> ScionNetwork:
     return ScionNetwork(make_shortcut_topology(), seed=7)
+
+
+@pytest.fixture(scope="session")
+def sciera_world() -> ScieraWorld:
+    """The SCIERA world (PKI seed 1), built once per session — READ-ONLY.
+
+    Tests that break links, revoke, enrol ASes or touch trust stores build
+    a world of their own instead.
+    """
+    return build_sciera(seed=1)
 
 
 @pytest.fixture()

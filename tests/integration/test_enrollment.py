@@ -105,4 +105,4 @@ class TestEnrollment:
         ups = service.path_server.up_segments
         assert ups
         for segment in ups:
-            segment.verify(resolver, network.timestamp)
+            segment.verify(resolver)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.scion.addr import IA
 from repro.scion.crypto.keys import SymmetricKey
-from repro.sciera.build import build_sciera
 from repro.sciera.hercules import HerculesError, HerculesTransfer, datapath_ablation
 from repro.sciera.lightningfilter import LightningFilter
 from repro.sciera.paths_quality import (
@@ -16,8 +15,9 @@ from repro.sciera.topology_data import FIG8_ASES
 
 
 @pytest.fixture(scope="module")
-def world():
-    return build_sciera(seed=21)
+def world(sciera_world):
+    """Read-only here: nothing in this module breaks a link or revokes."""
+    return sciera_world
 
 
 class TestFig10a:

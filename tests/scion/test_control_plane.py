@@ -60,7 +60,7 @@ class TestBeaconing:
         )
         for store in net.beaconing.down_stores.values():
             for beacon in store.all_beacons():
-                beacon.verify(resolver, net.timestamp)
+                beacon.verify(resolver)
 
     def test_tampered_beacon_rejected(self, diamond_network):
         net = diamond_network
@@ -76,7 +76,7 @@ class TestBeaconing:
             (forged_entry,) + beacon.entries[1:],
         )
         with pytest.raises(BeaconError):
-            forged.verify(resolver, net.timestamp)
+            forged.verify(resolver)
 
     def test_beacon_signed_by_wrong_key_rejected(self, diamond_network):
         net = diamond_network
@@ -91,7 +91,7 @@ class TestBeaconing:
             dataclasses.replace(beacon.entries[-1], signature=0), mallory
         )
         with pytest.raises(BeaconError, match="bad signature"):
-            forged.verify(resolver, net.timestamp)
+            forged.verify(resolver)
 
 
 class TestPathLookupAndCombination:

@@ -10,6 +10,7 @@ from repro.scion.crypto.mac import (
     hop_mac,
     verify_hop_mac,
 )
+from repro.scion.crypto import rsa
 from repro.scion.crypto.rsa import RsaKeyPair, sign, verify
 
 
@@ -37,6 +38,14 @@ class TestRsa:
         assert not verify(keypair.public, b"message", 12345)
         assert not verify(keypair.public, b"message", 0)
         assert not verify(keypair.public, b"message", keypair.n + 5)
+
+    def test_bool_is_not_a_signature(self, keypair):
+        # isinstance(True, int): the range check alone lets it through to
+        # the exponentiation.
+        exponentiations = rsa._public_op.cache_info()
+        assert not verify(keypair.public, b"message", True)
+        assert not verify(keypair.public, b"message", False)
+        assert rsa._public_op.cache_info() == exponentiations
 
     def test_deterministic_keygen(self):
         a = RsaKeyPair.generate(seed=99)
