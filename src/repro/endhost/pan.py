@@ -62,9 +62,6 @@ class HostRegistry:
     def lookup(self, ia: IA, ip: str) -> Optional["ScionHost"]:
         return self._hosts.get((str(ia), ip))
 
-    def hosts_in(self, ia: IA) -> List["ScionHost"]:
-        return [h for (ia_text, _), h in self._hosts.items() if ia_text == str(ia)]
-
 
 @dataclass(frozen=True)
 class SendResult:

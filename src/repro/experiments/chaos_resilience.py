@@ -38,11 +38,11 @@ from repro.endhost.bootstrap import (
 from repro.endhost.daemon import Daemon
 from repro.endhost.pan import HostRegistry, PanContext, ScionHost
 from repro.endhost.policy import LowestLatencyPolicy
+from repro.experiments.common import diamond_topology, percentile
 from repro.experiments.registry import Comparison, ExperimentResult
 from repro.netsim.chaos import FaultInjector, FaultProfile
 from repro.scion.addr import HostAddr, IA
 from repro.scion.network import ScionNetwork
-from repro.scion.topology import GlobalTopology, LinkType
 
 A = IA.parse("71-100")
 B = IA.parse("71-200")
@@ -54,22 +54,6 @@ RECOVERY_LOSS = 0.10
 #: Client retry discipline for all bootstrap trials.
 RETRY = RetryPolicy(max_attempts=6, base_delay_s=0.05, max_delay_s=1.0,
                     deadline_s=10.0)
-
-
-def _chaos_topology() -> GlobalTopology:
-    """Two cores (parallel links), dual-homed leaf A, leaf B under C2."""
-    topo = GlobalTopology()
-    c1, c2 = IA.parse("71-1"), IA.parse("71-2")
-    topo.add_as(c1, is_core=True, name="core1")
-    topo.add_as(c2, is_core=True, name="core2")
-    topo.add_as(A, name="leafA")
-    topo.add_as(B, name="leafB")
-    topo.add_link(c1, c2, LinkType.CORE, 0.010, link_name="c1c2-a")
-    topo.add_link(c1, c2, LinkType.CORE, 0.020, link_name="c1c2-b")
-    topo.add_link(A, c1, LinkType.PARENT, 0.005, link_name="a-c1")
-    topo.add_link(A, c2, LinkType.PARENT, 0.006, link_name="a-c2")
-    topo.add_link(B, c2, LinkType.PARENT, 0.004, link_name="b-c2")
-    return topo
 
 
 def _bootstrap_setup(network: ScionNetwork, injector: FaultInjector,
@@ -229,7 +213,7 @@ def telemetry_snapshot(seed: int = 11) -> Dict[str, object]:
     from repro.obs import Telemetry, build_health_report, validate_trace
 
     tel = Telemetry()
-    network = ScionNetwork(_chaos_topology(), seed=seed, telemetry=tel)
+    network = ScionNetwork(diamond_topology(), seed=seed, telemetry=tel)
     injector = FaultInjector(seed=seed, event_log=tel.events)
     supervisor = Supervisor(network)
     monitor = ConnectivityMonitor(
@@ -299,22 +283,16 @@ def telemetry_snapshot(seed: int = 11) -> Dict[str, object]:
         network.set_link_state("b-c2", True)
 
 
-def _percentile(values: List[float], fraction: float) -> float:
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
-
-
 def run(fast: bool = True, seed: int = 11) -> ExperimentResult:
     trials = 40 if fast else 200
-    network = ScionNetwork(_chaos_topology(), seed=seed)
+    network = ScionNetwork(diamond_topology(), seed=seed)
     injector = FaultInjector(seed=seed)
 
     sweep = _bootstrap_sweep(network, injector, trials, seed)
     hard = _bootstrap_hard_outage(network, injector, trials, seed)
     recovery = _recovery_trials(network, injector, trials)
-    p50 = _percentile(recovery, 0.50)
-    p99 = _percentile(recovery, 0.99)
+    p50 = percentile(recovery, 0.50)
+    p99 = percentile(recovery, 0.99)
 
     sweep_line = "  outage sweep: " + "  ".join(
         f"{int(rate * 100)}%:ok={m['success_rate']:.2f}/amp={m['amplification']:.2f}x"

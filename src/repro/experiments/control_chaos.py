@@ -29,11 +29,11 @@ from typing import Dict, List, Tuple
 
 from repro.core.retry import RetryPolicy
 from repro.core.supervisor import Supervisor
+from repro.experiments.common import diamond_topology
 from repro.experiments.registry import Comparison, ExperimentResult
 from repro.netsim.chaos import FaultInjector, FaultProfile
 from repro.scion.addr import IA
 from repro.scion.network import ScionNetwork
-from repro.scion.topology import GlobalTopology, LinkType
 
 A = IA.parse("71-100")
 B = IA.parse("71-200")
@@ -55,24 +55,6 @@ STORM_CERT_LIFETIME_S = 60.0
 STORM_CA_REFUSALS = 0.3
 
 
-def _control_topology() -> GlobalTopology:
-    """Two cores (parallel links) and three leaves across both cores."""
-    topo = GlobalTopology()
-    c1, c2 = IA.parse("71-1"), IA.parse("71-2")
-    topo.add_as(c1, is_core=True, name="core1")
-    topo.add_as(c2, is_core=True, name="core2")
-    topo.add_as(A, name="leafA")
-    topo.add_as(B, name="leafB")
-    topo.add_as(C, name="leafC")
-    topo.add_link(c1, c2, LinkType.CORE, 0.010, link_name="c1c2-a")
-    topo.add_link(c1, c2, LinkType.CORE, 0.020, link_name="c1c2-b")
-    topo.add_link(A, c1, LinkType.PARENT, 0.005, link_name="a-c1")
-    topo.add_link(A, c2, LinkType.PARENT, 0.006, link_name="a-c2")
-    topo.add_link(B, c2, LinkType.PARENT, 0.004, link_name="b-c2")
-    topo.add_link(C, c1, LinkType.PARENT, 0.007, link_name="c-c1")
-    return topo
-
-
 def _aligned_ticks(supervisor: Supervisor, t0: float, t: float,
                    done_until: List[float]) -> None:
     """Fire every health check due in (done_until, t], on the grid."""
@@ -86,7 +68,7 @@ def _aligned_ticks(supervisor: Supervisor, t0: float, t: float,
 
 def _crash_trial(seed: int, warm: bool, injector: FaultInjector) -> Dict[str, float]:
     """Crash the control service; measure reconvergence and availability."""
-    network = ScionNetwork(_control_topology(), seed=seed)
+    network = ScionNetwork(diamond_topology(third_leaf=True), seed=seed)
     supervisor = Supervisor(
         network,
         check_interval_s=CHECK_INTERVAL_S,
@@ -146,7 +128,7 @@ def _crash_trial(seed: int, warm: bool, injector: FaultInjector) -> Dict[str, fl
 
 def _renewal_storm(seed: int, injector: FaultInjector) -> Dict[str, float]:
     """Expire every AS certificate in one window under a flaky CA."""
-    network = ScionNetwork(_control_topology(), seed=seed + 1)
+    network = ScionNetwork(diamond_topology(third_leaf=True), seed=seed + 1)
     t0 = float(network.timestamp)
     trust = network.isd_trust[71]
     # Re-issue every AS certificate short-lived so the storm happens in-sim.

@@ -52,12 +52,12 @@ from repro.core.overload import (
     OverloadRejected,
     RetryBudget,
 )
+from repro.experiments.common import diamond_topology, percentile
 from repro.experiments.registry import Comparison, ExperimentResult
 from repro.netsim.chaos import FaultInjector, LoadSurge
 from repro.obs import build_health_report
 from repro.scion.addr import IA
 from repro.scion.network import ScionNetwork
-from repro.scion.topology import GlobalTopology, LinkType
 
 A = IA.parse("71-100")
 B = IA.parse("71-200")
@@ -79,22 +79,6 @@ MAX_RETRIES = 3
 RETRY_BASE_S = 0.050
 #: Offered-load sweep points, as multiples of capacity.
 SWEEP_MULTIPLES: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0)
-
-
-def _topology() -> GlobalTopology:
-    """Two cores (parallel links), dual-homed leaf A, leaf B under C2."""
-    topo = GlobalTopology()
-    c1, c2 = IA.parse("71-1"), IA.parse("71-2")
-    topo.add_as(c1, is_core=True, name="core1")
-    topo.add_as(c2, is_core=True, name="core2")
-    topo.add_as(A, name="leafA")
-    topo.add_as(B, name="leafB")
-    topo.add_link(c1, c2, LinkType.CORE, 0.010, link_name="c1c2-a")
-    topo.add_link(c1, c2, LinkType.CORE, 0.020, link_name="c1c2-b")
-    topo.add_link(A, c1, LinkType.PARENT, 0.005, link_name="a-c1")
-    topo.add_link(A, c2, LinkType.PARENT, 0.006, link_name="a-c2")
-    topo.add_link(B, c2, LinkType.PARENT, 0.004, link_name="b-c2")
-    return topo
 
 
 def _protected_guard(name: str, telemetry=None) -> OverloadGuard:
@@ -135,14 +119,6 @@ class StackOutcome:
     breaker_transitions: int = 0
     health_status: str = ""
     overloaded_services: Dict[str, float] = field(default_factory=dict)
-
-
-def _percentile(values: List[float], fraction: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 def _run_storm(
@@ -292,7 +268,7 @@ def _run_storm(
             if out.bins[index] >= 0.9 * out.baseline_rps:
                 out.recovered_at_s = index - surge_end_s
                 break
-    out.p99_admitted_latency_s = _percentile(admitted_latencies, 0.99)
+    out.p99_admitted_latency_s = percentile(admitted_latencies, 0.99)
     out.shed_by_priority = dict(guard.shed_by_priority)
     out.stats = {
         "admitted": guard.stats.admitted,
@@ -407,7 +383,7 @@ def run_storms(fast: bool = True, seed: int = 17) -> Dict[str, object]:
         duration_s, surge_start_s, surge_end_s = 36.0, 6.0, 14.0
         sweep_duration_s = 6.0
 
-    network = ScionNetwork(_topology(), seed=seed)
+    network = ScionNetwork(diamond_topology(), seed=seed)
     injector = FaultInjector(seed=seed)
     # Warm the lookup cache: the storm measures queueing, not combination.
     network.services[A].path_server.segments_for(B, now=0.0)
@@ -473,7 +449,7 @@ def telemetry_snapshot(seed: int = 17) -> Dict[str, object]:
     from repro.obs import Telemetry
 
     tel = Telemetry()
-    network = ScionNetwork(_topology(), seed=seed, telemetry=tel)
+    network = ScionNetwork(diamond_topology(), seed=seed, telemetry=tel)
     network.services[A].path_server.segments_for(B, now=0.0)
     outcome = _run_storm(
         network, protected=True, duration_s=6.0,
@@ -506,7 +482,7 @@ def slo_snapshot(seed: int = 17) -> Dict[str, object]:
     from repro.obs import Slo, SloEngine, Telemetry
 
     tel = Telemetry()
-    network = ScionNetwork(_topology(), seed=seed, telemetry=tel)
+    network = ScionNetwork(diamond_topology(), seed=seed, telemetry=tel)
     network.services[A].path_server.segments_for(B, now=0.0)
     engine = SloEngine(
         metrics=tel.metrics,

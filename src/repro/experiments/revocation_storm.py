@@ -38,11 +38,11 @@ from typing import Dict, List, Set, Tuple
 from repro.endhost.daemon import Daemon
 from repro.endhost.pan import HostRegistry, PanContext, ScionHost
 from repro.endhost.policy import LowestLatencyPolicy
+from repro.experiments.common import diamond_topology, percentile
 from repro.experiments.registry import Comparison, ExperimentResult
 from repro.netsim.chaos import FaultInjector
 from repro.scion.addr import HostAddr, IA
 from repro.scion.network import ScionNetwork
-from repro.scion.topology import GlobalTopology, LinkType
 
 A = IA.parse("71-100")
 B = IA.parse("71-200")
@@ -62,22 +62,6 @@ DOWN_REPORT_TTL_S = 0.5
 REVOCATION_TTL_S = 8.0
 
 
-def _storm_topology() -> GlobalTopology:
-    """Two cores (parallel links), dual-homed leaf A, leaf B under C2."""
-    topo = GlobalTopology()
-    c1, c2 = IA.parse("71-1"), IA.parse("71-2")
-    topo.add_as(c1, is_core=True, name="core1")
-    topo.add_as(c2, is_core=True, name="core2")
-    topo.add_as(A, name="leafA")
-    topo.add_as(B, name="leafB")
-    topo.add_link(c1, c2, LinkType.CORE, 0.010, link_name="c1c2-a")
-    topo.add_link(c1, c2, LinkType.CORE, 0.020, link_name="c1c2-b")
-    topo.add_link(A, c1, LinkType.PARENT, 0.005, link_name="a-c1")
-    topo.add_link(A, c2, LinkType.PARENT, 0.006, link_name="a-c2")
-    topo.add_link(B, c2, LinkType.PARENT, 0.004, link_name="b-c2")
-    return topo
-
-
 def _interface_keys(network: ScionNetwork, link_name: str) -> Set[str]:
     """Both global interface ids ("IA#ifid") of one link."""
     (ia_a, ifid_a), (ia_b, ifid_b) = network.topology.link_attachments[link_name]
@@ -88,7 +72,7 @@ def _run_mode(
     pipeline: bool, n_clients: int, seed: int, injector: FaultInjector
 ) -> Dict[str, float]:
     """One full storm against a fresh network; returns the mode's metrics."""
-    network = ScionNetwork(_storm_topology(), seed=seed)
+    network = ScionNetwork(diamond_topology(), seed=seed)
     network.dataplane.revocation_ttl_s = REVOCATION_TTL_S
     mode = "pipeline" if pipeline else "baseline"
     path_server = network.services[A].path_server
@@ -158,19 +142,11 @@ def _run_mode(
     quarantined = network.registry.quarantined_count()
     return {
         "stale_served": float(stale_served),
-        "p99_failover_s": _percentile(failover_costs, 0.99),
+        "p99_failover_s": percentile(failover_costs, 0.99),
         "reconverge_s": reconverge_s,
         "quarantined": float(quarantined),
         "sends": float(len(failover_costs)),
     }
-
-
-def _percentile(values: List[float], fraction: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 def run(fast: bool = True, seed: int = 23) -> ExperimentResult:

@@ -154,12 +154,6 @@ class ByzantineAdversary:
             if o.succeeded and (kind is None or o.kind == kind)
         ]
 
-    def detections(self, kind: Optional[str] = None) -> List[AttackOutcome]:
-        return [
-            o for o in self.outcomes
-            if o.detected and (kind is None or o.kind == kind)
-        ]
-
     def event_digest(self) -> str:
         """Stable digest of the attack/outcome stream (determinism pin)."""
         payload = "\n".join(

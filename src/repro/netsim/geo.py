@@ -32,9 +32,6 @@ class GeoPoint:
     lat: float
     lon: float
 
-    def distance_km(self, other: "GeoPoint") -> float:
-        return haversine_km(self, other)
-
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points in kilometers."""

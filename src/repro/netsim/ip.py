@@ -81,9 +81,6 @@ class IpInternet:
     def nodes(self) -> List[str]:
         return list(self._graph.nodes)
 
-    def has_link(self, a: str, b: str) -> bool:
-        return self._graph.has_edge(a, b)
-
     # -- failure state ---------------------------------------------------------
 
     def set_link_state(self, a: str, b: str, up: bool) -> None:

@@ -120,15 +120,6 @@ class Link:
         self._block_refs.pop(endpoint, None)
         self.blocked_senders.discard(endpoint)
 
-    def sender_blocked(self, endpoint: Any) -> bool:
-        return endpoint in self.blocked_senders
-
-    def one_way_delay(self, size_bytes: int = 0) -> float:
-        ser = 0.0
-        if self.bandwidth_bps and size_bytes:
-            ser = size_bytes * 8 / self.bandwidth_bps
-        return self.latency_s + ser
-
     def transmit(
         self,
         sim: Simulator,

@@ -15,7 +15,7 @@ sequence number, so two runs with the same inputs produce identical
 schedules. All randomness in the wider system goes through explicitly
 seeded ``random.Random`` / ``numpy`` generators, never through this module.
 
-Performance notes (the kernel hot paths, see ``BENCH_kernel.json``):
+Performance notes (the kernel hot paths; ``packet_events`` in ``bench/``):
 
 * ``pending_events`` is O(1): the simulator keeps a live-event counter
   maintained by ``schedule``/``cancel``/pop instead of scanning the heap.

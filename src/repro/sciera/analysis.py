@@ -2,7 +2,7 @@
 
 Each ``figN_*`` function consumes a :class:`CampaignDataset` and returns a
 plain dataclass with the series the corresponding figure plots plus the
-headline statistics quoted in the paper's text, so benchmarks can print
+headline statistics quoted in the paper's text, so experiments can print
 paper-vs-measured rows directly.
 """
 
@@ -45,9 +45,6 @@ class Fig5Result:
 
     def cdf_scion(self) -> Tuple[np.ndarray, np.ndarray]:
         return _cdf(self.scion_rtts_ms)
-
-    def cdf_ip(self) -> Tuple[np.ndarray, np.ndarray]:
-        return _cdf(self.ip_rtts_ms)
 
 
 def fig5_latency_cdf(dataset: CampaignDataset) -> Fig5Result:

@@ -8,7 +8,7 @@ symmetric per-AS keys (DRKey-style) and rate-limits by (source AS, host).
 
 We model the data path at packet granularity: per-packet symmetric MAC
 verification with a per-core cost budget, per-source-AS token buckets, and
-counters the Science-DMZ benchmarks read.
+counters the Science-DMZ experiments and tests read.
 """
 
 from __future__ import annotations

@@ -25,10 +25,8 @@ Refresh engine: each pair's one-time static analysis records the links its
 paths traverse, which feeds a reverse index (link name -> affected pairs).
 Link events then re-derive the shortest/fastest/disjoint selection only for
 pairs whose paths actually cross the flipped link, instead of rescanning
-every pair (``refresh_mode="full"`` keeps the old O(pairs x paths) rescan
-for comparison; both modes produce identical records).  The one-time
-analysis sweep — pure-Python MAC verification over every pair, the cold-
-start cost — optionally fans out over a worker pool (``workers``).
+every pair (the all-pairs rescan lives on as the test-side reference,
+``tests/sciera/reference_campaign.py``; both produce identical records).
 :class:`CampaignStats` counts what the engine actually did.
 """
 
@@ -38,7 +36,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.workpool import fan_out
 from repro.netsim.failures import FailureSchedule, LinkEvent, MaintenanceWindow
 from repro.netsim.simulator import Simulator
 from repro.scion.addr import IA
@@ -72,12 +69,11 @@ class IntervalRecord:
 class CampaignStats:
     """What the campaign's refresh engine actually did.
 
-    Experiments and benchmarks surface these so the incremental engine's
-    savings are observable, not asserted: ``pairs_refreshed`` is the total
-    number of per-pair re-derivations across the run (the full-rescan
-    engine pays ``pair count`` on every event-dirty interval; the
-    incremental engine pays only for pairs whose paths cross the flipped
-    link).
+    Experiments surface these so the engine's savings are observable, not
+    asserted: ``pairs_refreshed`` is the total number of per-pair
+    re-derivations across the run (an all-pairs rescan pays ``pair count``
+    on every event-dirty interval; the engine pays only for pairs whose
+    paths cross the flipped link).
     """
 
     analyses_run: int = 0            # one-time static path analyses (pairs)
@@ -125,9 +121,6 @@ class CampaignDataset:
         """Records kept by the paper's fairness filter: intervals where the
         ICMP tool had stalled are excluded for both SCION and IP."""
         return [r for r in self.records if r.icmp_valid]
-
-    def records_for_pair(self, src: str, dst: str) -> List[IntervalRecord]:
-        return [r for r in self.records if r.src == src and r.dst == dst]
 
 
 def sciera_campaign_schedule(duration_s: float = 20 * DAY_S) -> FailureSchedule:
@@ -231,18 +224,9 @@ class MultipingCampaign:
         stall_sources: Optional[Sequence[str]] = None,
         seed: int = 0,
         rtt_jitter: float = 0.01,
-        refresh_mode: str = "incremental",
-        workers: int = 0,
     ):
         if interval_s <= 0 or duration_s <= 0:
             raise ValueError("duration and interval must be positive")
-        if refresh_mode not in ("incremental", "full"):
-            raise ValueError(
-                f"refresh_mode must be 'incremental' or 'full', "
-                f"got {refresh_mode!r}"
-            )
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
         self.world = world
         self.duration_s = duration_s
         self.interval_s = interval_s
@@ -267,8 +251,6 @@ class MultipingCampaign:
         )
         self.rng = random.Random(seed)
         self.rtt_jitter = rtt_jitter
-        self.refresh_mode = refresh_mode
-        self.workers = workers
         self.stats = CampaignStats()
         self._stall_starts: Dict[int, float] = {}
         self._pairs: List[Tuple[str, str]] = [
@@ -280,9 +262,8 @@ class MultipingCampaign:
         self._states: Dict[Tuple[str, str], _PairState] = {}
         #: link name -> pairs whose analyzed paths traverse that link
         self._link_index: Dict[str, Set[Tuple[str, str]]] = {}
-        #: pairs whose selection must be re-derived (incremental mode)
+        #: pairs whose selection must be re-derived
         self._pending: Set[Tuple[str, str]] = set()
-        self._dirty = False  # all-pairs re-derivation needed (full mode)
 
     # -- probing ---------------------------------------------------------------------
 
@@ -325,17 +306,12 @@ class MultipingCampaign:
         """The one-time all-pairs analysis sweep (cold-start cost).
 
         Builds the pair states, the link -> pairs reverse index, and the
-        initial path selection.  Fans out over a thread pool when
-        ``workers`` > 1; results are assembled by pair key, so the outcome
-        is identical to the serial sweep.
+        initial path selection.
         """
         if self._states:
             return
-        states = fan_out(
-            lambda key: self._analyze_pair(*key), self._pairs, self.workers
-        )
-        for key, state in zip(self._pairs, states):
-            self._states[key] = state
+        for key in self._pairs:
+            state = self._states[key] = self._analyze_pair(*key)
             for _, analysis in state.analyses:
                 for link in analysis.links:
                     self._link_index.setdefault(link.name, set()).add(key)
@@ -345,28 +321,16 @@ class MultipingCampaign:
         self.stats.pairs_refreshed += len(self._pairs)
         # Events that fired before the sweep (e.g. at t=0) are already
         # reflected in the selection just derived.
-        self._dirty = False
         self._pending.clear()
 
     def _on_link_event(self, event: LinkEvent) -> None:
         self.stats.refresh_events += 1
-        if self.refresh_mode == "full":
-            self._dirty = True
-        else:
-            self._pending.update(self._link_index.get(event.link_name, ()))
+        self._pending.update(self._link_index.get(event.link_name, ()))
 
     def _refresh(self) -> None:
         """Re-derive path selections invalidated since the last interval."""
         self._ensure_analyzed()
-        if self.refresh_mode == "full":
-            if not self._dirty:
-                return
-            for key in self._pairs:
-                self._refresh_pair(self._states[key])
-            self.stats.full_refreshes += 1
-            self.stats.pairs_refreshed += len(self._pairs)
-            self._dirty = False
-        elif self._pending:
+        if self._pending:
             for key in sorted(self._pending):
                 self._refresh_pair(self._states[key])
             self.stats.incremental_refreshes += 1

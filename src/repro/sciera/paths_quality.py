@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.workpool import fan_out
 from repro.scion.addr import IA
 from repro.sciera.build import ScieraWorld
 
@@ -45,32 +44,18 @@ def fig10a_latency_inflation(
     sources: Sequence[str],
     destinations: Optional[Sequence[str]] = None,
     near_threshold: float = 1.02,
-    workers: int = 0,
 ) -> Fig10aResult:
-    """d2/d1 per AS pair over the active paths.
-
-    ``workers`` > 1 fans the per-pair probing out over a thread pool;
-    results are assembled in pair order, so the outcome is identical.
-    """
+    """d2/d1 per AS pair over the active paths."""
     network = world.network
     destinations = destinations or sources
-    pairs = _ordered_pairs(sources, destinations)
-
-    def one_pair(pair: Tuple[str, str]) -> Optional[float]:
-        src, dst = pair
+    inflation: Dict[Tuple[str, str], float] = {}
+    for src, dst in _ordered_pairs(sources, destinations):
         rtts = sorted(
             network.probe(meta).rtt_s
             for meta in network.active_paths(IA.parse(src), IA.parse(dst))
         )
-        if len(rtts) < 2 or rtts[0] <= 0:
-            return None
-        return rtts[1] / rtts[0]
-
-    inflation: Dict[Tuple[str, str], float] = {
-        pair: value
-        for pair, value in zip(pairs, fan_out(one_pair, pairs, workers))
-        if value is not None
-    }
+        if len(rtts) >= 2 and rtts[0] > 0:
+            inflation[(src, dst)] = rtts[1] / rtts[0]
     if not inflation:
         raise ValueError("no pair had two active paths")
     values = np.asarray(list(inflation.values()))
@@ -114,7 +99,6 @@ def fig10b_path_disjointness(
     sources: Sequence[str],
     destinations: Optional[Sequence[str]] = None,
     max_paths_per_pair: int = 8,
-    workers: int = 0,
 ) -> Fig10bResult:
     """Disjointness over all path combinations of every AS pair.
 
@@ -123,25 +107,16 @@ def fig10b_path_disjointness(
     on disjointness) rather than the shortest prefix: shortest-first would
     select dozens of near-identical variants of the same route and
     understate the diversity end hosts actually choose from.
-
-    ``workers`` > 1 fans the per-pair work out over a thread pool; results
-    are assembled in pair order, so the outcome is identical.
     """
     network = world.network
     destinations = destinations or sources
-    pairs = _ordered_pairs(sources, destinations)
-
-    def one_pair(pair: Tuple[str, str]) -> List[float]:
-        src, dst = pair
+    values: List[float] = []
+    for src, dst in _ordered_pairs(sources, destinations):
         metas = network.active_paths(IA.parse(src), IA.parse(dst))
         metas = _diverse_subset(metas, max_paths_per_pair)
-        return [a.disjointness(b) for a, b in itertools.combinations(metas, 2)]
-
-    values: List[float] = [
-        value
-        for per_pair in fan_out(one_pair, pairs, workers)
-        for value in per_pair
-    ]
+        values.extend(
+            a.disjointness(b) for a, b in itertools.combinations(metas, 2)
+        )
     if not values:
         raise ValueError("no path combinations found")
     array = np.asarray(values)

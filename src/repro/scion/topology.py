@@ -97,11 +97,6 @@ class AsTopology:
                 seen.append(iface.remote_ia)
         return seen
 
-    def interfaces_to(self, remote_ia: IA) -> List[Interface]:
-        return [
-            iface for iface in self.interfaces.values() if iface.remote_ia == remote_ia
-        ]
-
 
 #: How the far end of a link sees the near end's link type.
 _INVERSE_TYPE = {

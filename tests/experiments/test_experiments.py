@@ -52,6 +52,16 @@ def _measured(result: ExperimentResult, metric: str) -> str:
 
 
 class TestHeadlineShapes:
+    def test_table1_topology_has_29_ases(self):
+        from repro.sciera.topology_data import build_sciera_topology
+
+        assert len(build_sciera_topology().ases) == 29
+
+    def test_fig3_effort_model_tracks_observed(self):
+        from repro.core.deployment import EffortModel
+
+        assert EffortModel().correlation_with_observed() > 0.7
+
     def test_fig4_bootstrap_under_150ms(self):
         result = run_experiment("fig4")
         measured = _measured(result, "total median")
@@ -75,6 +85,16 @@ class TestHeadlineShapes:
         assert stats.frac_below_1_25 > 0.70        # paper: ~80%
         assert stats.outlier_pairs                 # ring/BRIDGES outliers
 
+    def test_fig7_scion_faster_with_maintenance_spikes(self):
+        import numpy as np
+
+        from repro.experiments.common import get_campaign
+        from repro.sciera.analysis import fig7_ratio_over_time
+
+        result = fig7_ratio_over_time(get_campaign(fast=True))
+        assert float(np.median(result.ratio_series)) < 1.0
+        assert result.max_spike() > result.ratio_series.min()
+
     def test_fig8_path_count_extremes(self):
         from repro.experiments.common import get_campaign
         from repro.sciera.analysis import fig8_max_active_paths
@@ -95,6 +115,22 @@ class TestHeadlineShapes:
         assert dj_sg >= 10                         # paper: 16
         zeros = sum(1 for v in matrix.values() if v == 0)
         assert zeros >= len(matrix.values()) * 0.3  # most pairs undisturbed
+
+    def test_fig10a_most_pairs_have_a_near_equal_alternative(self):
+        from repro.experiments.common import get_world
+        from repro.sciera.paths_quality import fig10a_latency_inflation
+        from repro.sciera.topology_data import FIG8_ASES
+
+        result = fig10a_latency_inflation(get_world(), FIG8_ASES)
+        assert result.frac_below_1_2 > 0.5         # paper: 80% under 1.2
+
+    def test_fig10b_some_combinations_fully_disjoint(self):
+        from repro.experiments.common import get_world
+        from repro.sciera.paths_quality import fig10b_path_disjointness
+        from repro.sciera.topology_data import FIG8_ASES
+
+        result = fig10b_path_disjointness(get_world(), FIG8_ASES[:5])
+        assert result.frac_fully_disjoint > 0.05   # paper: ~30%
 
     def test_fig10c_multipath_vs_singlepath(self):
         result = run_experiment("fig10c")

@@ -1,10 +1,10 @@
 """The campaign refresh engine: link-indexed invalidation vs full rescan.
 
-The engine contract is strict: both refresh modes (and the threaded
-analysis sweep) must produce record-for-record identical datasets, because
-each pair's selection depends only on its own analyses and current link
-state.  The incremental mode just avoids re-deriving pairs whose paths
-never cross a flipped link.
+The engine contract is strict: it and the all-pairs reference
+(``reference_campaign.py``) must produce record-for-record identical
+datasets, because each pair's selection depends only on its own analyses
+and current link state.  The engine just avoids re-deriving pairs whose
+paths never cross a flipped link.
 """
 
 import pytest
@@ -13,7 +13,8 @@ from repro.netsim.failures import FailureSchedule, LinkEvent
 from repro.scion.addr import IA
 from repro.sciera.build import build_sciera
 from repro.sciera.multiping import CampaignStats, DAY_S, MultipingCampaign
-from repro.sciera.topology_data import FIG8_ASES
+
+from tests.sciera.reference_campaign import FullRescanCampaign
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +27,9 @@ def _reset_links(world):
         link.set_up(True)
 
 
-def _run(world, **kwargs):
+def _run(world, campaign=MultipingCampaign, **kwargs):
     _reset_links(world)
-    dataset = MultipingCampaign(world, **kwargs).run()
+    dataset = campaign(world, **kwargs).run()
     _reset_links(world)
     return dataset
 
@@ -48,8 +49,8 @@ class TestEquivalence:
     def test_incremental_matches_full_rescan_on_default_schedule(self, world):
         """Acceptance: byte-identical datasets, >= 3x less refresh work."""
         config = dict(duration_s=20 * DAY_S, interval_s=4 * 3600.0, seed=3)
-        incremental = _run(world, refresh_mode="incremental", **config)
-        full = _run(world, refresh_mode="full", **config)
+        incremental = _run(world, **config)
+        full = _run(world, campaign=FullRescanCampaign, **config)
         assert incremental.records == full.records
         assert incremental.events == full.events
         assert incremental.stats.refresh_events == full.stats.refresh_events
@@ -59,16 +60,6 @@ class TestEquivalence:
         assert incremental.stats.full_refreshes == 1
         assert full.stats.full_refreshes > 1
         assert full.stats.incremental_refreshes == 0
-
-    def test_threaded_sweep_matches_serial(self, world):
-        config = dict(
-            duration_s=4 * DAY_S, interval_s=6 * 3600.0,
-            sources=FIG8_ASES[:4], destinations=FIG8_ASES[:4], seed=5,
-        )
-        serial = _run(world, workers=0, **config)
-        threaded = _run(world, workers=4, **config)
-        assert serial.records == threaded.records
-        assert serial.stats.as_dict() == threaded.stats.as_dict()
 
 
 class TestLinkIndex:
@@ -110,14 +101,6 @@ class TestLinkIndex:
 
 
 class TestConfiguration:
-    def test_invalid_refresh_mode_rejected(self, world):
-        with pytest.raises(ValueError, match="refresh_mode"):
-            MultipingCampaign(world, refresh_mode="lazy")
-
-    def test_negative_workers_rejected(self, world):
-        with pytest.raises(ValueError, match="workers"):
-            MultipingCampaign(world, workers=-1)
-
     def test_stats_describe_and_dict(self):
         stats = CampaignStats(
             analyses_run=10, refresh_events=4, pairs_refreshed=7,

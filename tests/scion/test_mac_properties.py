@@ -1,10 +1,14 @@
 """Property tests: the memoized MAC path is bitwise-identical to the
-uncached one, and the hot-path correctness fixes hold for arbitrary inputs.
+uncached reference :func:`hop_mac`, cold (first call, LRU miss) and warm
+(second call, LRU / per-hop-field memo hit), and the hot-path correctness
+fixes hold for arbitrary inputs.
 
 These back the kernel perf pass's central claim — every cache is a pure
 memo, so seeded experiment digests cannot change — with hypothesis-driven
 evidence rather than a handful of examples.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +22,6 @@ from repro.scion.crypto.mac import (
     chain_beta,
     clear_mac_cache,
     hop_mac,
-    set_mac_cache,
     verify_hop_mac,
 )
 from repro.scion.path import HopField
@@ -31,10 +34,8 @@ u16 = st.integers(min_value=0, max_value=(1 << 16) - 1)
 @pytest.fixture(autouse=True)
 def _fresh_cache():
     clear_mac_cache()
-    set_mac_cache(True)
     yield
     clear_mac_cache()
-    set_mac_cache(True)
 
 
 class TestMemoizedMacAgreesWithUncached:
@@ -52,11 +53,14 @@ class TestMemoizedMacAgreesWithUncached:
     def test_verify_accepts_genuine_mac_both_modes(
         self, raw, ts, exp, ing, eg, beta
     ):
+        """Both modes: a cold memo (miss) and a warm one (hit)."""
         key = SymmetricKey(raw)
         genuine = hop_mac(key, ts, exp, ing, eg, beta)
+        clear_mac_cache()
         assert verify_hop_mac(key, ts, exp, ing, eg, beta, genuine)
-        set_mac_cache(False)
         assert verify_hop_mac(key, ts, exp, ing, eg, beta, genuine)
+        info = mac_mod.mac_cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     @given(raw=key_bytes, ts=u32, exp=u32, ing=u16, eg=u16, beta=u16,
            position=st.integers(min_value=0, max_value=MAC_LEN - 1))
@@ -68,25 +72,41 @@ class TestMemoizedMacAgreesWithUncached:
         genuine = bytearray(hop_mac(key, ts, exp, ing, eg, beta))
         genuine[position] ^= 0x01
         assert not verify_hop_mac(key, ts, exp, ing, eg, beta, bytes(genuine))
+        assert not verify_hop_mac(key, ts, exp, ing, eg, beta, bytes(genuine))
 
-    @given(raw=key_bytes, ts=u32, exp=u32, ing=u16, eg=u16, beta=u16)
+    @given(raw=key_bytes, ts=u32, exp=u32, ing=u16, eg=u16, beta=u16,
+           position=st.integers(min_value=0, max_value=MAC_LEN - 1),
+           ts_delta=st.integers(min_value=1, max_value=1000))
     @settings(max_examples=100, deadline=None)
     def test_hopfield_verify_memo_agrees_with_uncached(
-        self, raw, ts, exp, ing, eg, beta
+        self, raw, ts, exp, ing, eg, beta, position, ts_delta
     ):
+        """First call == second call == ``hop_mac(...) == hop.mac`` for a
+        valid hop, a flipped MAC byte, the wrong key and the wrong
+        timestamp — the wrong-key / wrong-timestamp calls follow a
+        memoized valid verdict on the same instance and must not be
+        served it."""
         key = SymmetricKey(raw)
-        hop = HopField.create(IA.parse("71-225"), key, ts, ing, eg, beta,
-                              expiry=exp)
-        set_mac_cache(False)
-        uncached = hop.verify(key, ts)
-        set_mac_cache(True)
-        assert hop.verify(key, ts) == uncached
-        # Memoized second call (hits the per-instance verdict cache).
-        assert hop.verify(key, ts) == uncached
-        # A different key must not be served the memoized verdict.
         other = SymmetricKey(b"another-key-another-key-another!")
-        expected = hop_mac(other, ts, hop.expiry, ing, eg, beta) == hop.mac
-        assert hop.verify(other, ts) == expected
+        other_ts = (ts + ts_delta) % (1 << 32)
+        valid = HopField.create(IA.parse("71-225"), key, ts, ing, eg, beta,
+                                expiry=exp)
+        flipped_mac = bytearray(valid.mac)
+        flipped_mac[position] ^= 0x01
+        flipped = dataclasses.replace(valid, mac=bytes(flipped_mac))
+        for hop, with_key, at_ts in (
+            (valid, key, ts),
+            (flipped, key, ts),
+            (valid, other, ts),
+            (valid, key, other_ts),
+        ):
+            expected = (
+                hop_mac(with_key, at_ts, exp, ing, eg, beta) == hop.mac
+            )
+            assert hop.verify(with_key, at_ts) == expected   # cold
+            assert hop.verify(with_key, at_ts) == expected   # memoized
+        assert valid.verify(key, ts)
+        assert not flipped.verify(key, ts)
 
 
 class TestVerifyLengthShortCircuit:

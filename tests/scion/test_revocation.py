@@ -265,3 +265,38 @@ class TestQuarantineSurvivesRestart:
         network.revoke_interface(ia, ifid, now=t0, ttl_s=1.0)
         assert supervisor.pending_revocations(t0 + 0.5)
         assert supervisor.pending_revocations(t0 + 2.0) == []
+
+    def test_router_down_mark_lapses_with_the_revocation_ttl(self):
+        """What the control plane serves again, the data plane forwards
+        again: the router's down-mark dies with the revocation's TTL."""
+        network = ScionNetwork(_diamond(), seed=7)
+        t0 = float(network.timestamp)
+        ia, ifid, key = _a_side(network)
+        router = network.dataplane.routers[ia]
+        known = len(network.paths(A, B, refresh=True))
+        revocation = network.revoke_interface(ia, ifid, now=t0, ttl_s=1.0)
+        assert router.down_interfaces == {ifid}
+        revoked = [
+            m for m in network.paths(A, B, refresh=True, now=t0 + 0.5)
+            if key in m.interfaces
+        ]
+        assert revoked == []
+
+        # An operator mark without a revocation has no TTL to lapse with.
+        other_ifid = next(i for i in router.topology.interfaces if i != ifid)
+        router.mark_interface_down(other_ifid)
+
+        later = t0 + 5.0
+        assert later > revocation.expires_at()
+        served = network.paths(A, B, refresh=True, now=later)
+        assert len(served) == known
+        verdicts = [
+            (key in meta.interfaces, network.probe(meta, now=later))
+            for meta in served
+        ]
+        crossing = [result for crosses, result in verdicts if crosses]
+        assert crossing and all(result.success for result in crossing)
+        assert router.down_interfaces == {other_ifid}
+        assert any(
+            result.failure == "drop-interface-down" for _, result in verdicts
+        )
