@@ -5,24 +5,27 @@ instabilities, and two maintenance windows (Section 5.4) — and SCIONLab
 measurement studies show path churn and probe loss are *continuous*, not
 scheduled.  :class:`repro.netsim.failures.FailureSchedule` models the
 scheduled part; this module adds the continuous part: a seeded
-:class:`FaultInjector` that wraps links, dataplane probes, and bootstrap
-servers with probabilistic faults (loss, latency spikes, duplication,
-corruption, server outages) driven by per-target :class:`FaultProfile`\\ s.
+:class:`FaultInjector` that registers probabilistic faults (loss, latency
+spikes, duplication, corruption) on the fault seams of links and dataplane
+probes, and proxies bootstrap servers and CAs with injected outages, all
+driven by per-target :class:`FaultProfile`\\ s.
 
 Every injected fault is recorded as a structured :class:`FaultEvent`, so
 experiments can assert on the exact fault stream — two runs with the same
 seed produce identical streams.  The layer is strictly opt-in: nothing in
-the simulator or the SCION stack changes behaviour unless a target is
-explicitly wrapped.
+the simulator or the SCION stack changes behaviour unless a fault is
+explicitly registered on a target, and every registration comes with a
+remover that takes out exactly that registration.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Protocol, Tuple, Type, Union
 
 from repro.netsim.failures import FailureSchedule, LinkEvent
 from repro.netsim.link import Link
@@ -50,6 +53,31 @@ class CaOutage(Exception):
     """
 
     transient = True
+
+
+class ProbeFaultTarget(Protocol):
+    """What :meth:`FaultInjector.wrap_dataplane` needs: the probe fault seam."""
+
+    def add_probe_fault(
+        self, fault: Callable[[Any, float], Any]
+    ) -> Callable[[], None]: ...
+
+
+class BootstrapService(Protocol):
+    """The requests :class:`FaultyServer` gates."""
+
+    def get_topology(self) -> Any: ...
+    def get_trcs(self) -> Any: ...
+
+
+class CertificateAuthority(Protocol):
+    """The requests :class:`FaultyCa` gates."""
+
+    def issue_as_certificate(
+        self, subject_ia: str, subject_public_key: Any, now: float,
+        lifetime_s: Optional[float] = None,
+    ) -> Any: ...
+    def renew(self, subject_ia: str, now: float) -> Any: ...
 
 
 @dataclass(frozen=True)
@@ -140,58 +168,39 @@ class FaultInjector:
 
         schedule.subscribe(observer)
 
-    # -- link faults -----------------------------------------------------------
+    # -- link and probe faults ---------------------------------------------------
 
-    def wrap_link(
-        self, link: Link, profile: FaultProfile
-    ) -> Callable[[], None]:
-        """Wrap ``link.transmit`` in place with probabilistic faults.
+    def _roll(
+        self, profile: FaultProfile, target: str, now: float
+    ) -> Union[str, Tuple[float, int]]:
+        """One frame's or probe's draws, in the order loss, corrupt, spike,
+        duplicate (each rolled only when its probability is non-zero): the
+        drop reason, or ``(extra one-way delay, copies)``."""
+        roll = self.rng.random
+        if profile.loss and roll() < profile.loss:
+            self.record(now, target, "loss")
+            return "chaos-loss"
+        if profile.corrupt and roll() < profile.corrupt:
+            self.record(now, target, "corrupt")
+            return "chaos-corrupt"
+        spike, copies = 0.0, 1
+        if profile.latency_spike and roll() < profile.latency_spike:
+            spike = profile.latency_spike_s
+            self.record(now, target, "latency-spike", f"+{spike:.3f}s")
+        if profile.duplicate and roll() < profile.duplicate:
+            copies = 2
+            self.record(now, target, "duplicate")
+        return spike, copies
+
+    def wrap_link(self, link: Link, profile: FaultProfile) -> Callable[[], None]:
+        """Register probabilistic faults on ``link`` (:meth:`Link.add_fault`).
 
         Loss and corruption drop the frame (corruption models a frame that
         fails its MAC/CRC at the receiver); a latency spike inflates this
         frame's propagation delay; duplication delivers the frame twice.
-        Returns a zero-arg function that removes the wrapper again.
+        Returns a zero-arg function that removes the registration again.
         """
-        original = link.transmit
-
-        def chaotic_transmit(sim, sender, size_bytes, deliver, drop=None):
-            roll = self.rng.random
-            if profile.loss and roll() < profile.loss:
-                self.record(sim.now, link.name, "loss")
-                link.stats.frames_dropped_loss += 1
-                if drop:
-                    drop("chaos-loss")
-                return
-            if profile.corrupt and roll() < profile.corrupt:
-                self.record(sim.now, link.name, "corrupt")
-                link.stats.frames_dropped_loss += 1
-                if drop:
-                    drop("chaos-corrupt")
-                return
-            spike = 0.0
-            if profile.latency_spike and roll() < profile.latency_spike:
-                spike = profile.latency_spike_s
-                self.record(sim.now, link.name, "latency-spike", f"+{spike:.3f}s")
-            copies = 1
-            if profile.duplicate and roll() < profile.duplicate:
-                copies = 2
-                self.record(sim.now, link.name, "duplicate")
-            base_latency = link.latency_s
-            try:
-                link.latency_s = base_latency + spike
-                for _ in range(copies):
-                    original(sim, sender, size_bytes, deliver, drop)
-            finally:
-                link.latency_s = base_latency
-
-        link.transmit = chaotic_transmit  # type: ignore[method-assign]
-
-        def restore() -> None:
-            link.transmit = original  # type: ignore[method-assign]
-
-        return restore
-
-    # -- probe faults ----------------------------------------------------------
+        return link.add_fault(lambda now: self._roll(profile, link.name, now))
 
     def probe_filter(
         self, profile: FaultProfile, target: str
@@ -207,69 +216,43 @@ class FaultInjector:
         def apply(result: Any, now: float) -> Any:
             if not result.success:
                 return result
-            roll = self.rng.random
-            if profile.loss and roll() < profile.loss:
-                self.record(now, target, "loss")
+            verdict = self._roll(profile, target, now)
+            if isinstance(verdict, str):
                 return dataclasses.replace(
-                    result, success=False, rtt_s=0.0, one_way_s=0.0,
-                    failure="chaos-loss",
+                    result, success=False, rtt_s=0.0, one_way_s=0.0, failure=verdict,
                 )
-            if profile.corrupt and roll() < profile.corrupt:
-                self.record(now, target, "corrupt")
-                return dataclasses.replace(
-                    result, success=False, rtt_s=0.0, one_way_s=0.0,
-                    failure="chaos-corrupt",
-                )
-            if profile.latency_spike and roll() < profile.latency_spike:
-                spike = profile.latency_spike_s
-                self.record(now, target, "latency-spike", f"+{spike:.3f}s")
+            spike = verdict[0]
+            if spike:
                 result = dataclasses.replace(
                     result,
                     rtt_s=result.rtt_s + 2 * spike,
                     one_way_s=result.one_way_s + spike,
                 )
-            if profile.duplicate and roll() < profile.duplicate:
-                self.record(now, target, "duplicate")
             return result
 
         return apply
 
-    def wrap_dataplane(self, dataplane: Any, profile: FaultProfile,
+    def wrap_dataplane(self, dataplane: ProbeFaultTarget, profile: FaultProfile,
                        target: str = "dataplane") -> Callable[[], None]:
-        """Wrap a dataplane's ``probe`` in place (end-to-end path chaos).
+        """Register end-to-end path chaos on a dataplane's probes
+        (:meth:`~repro.scion.dataplane.network.ScionDataplane.add_probe_fault`).
 
-        Returns a zero-arg function that removes the wrapper again.
+        Returns a zero-arg function that removes the registration again.
         """
-        original = dataplane.probe
-        apply = self.probe_filter(profile, target)
-
-        def chaotic_probe(path, now):
-            return apply(original(path, now), now)
-
-        dataplane.probe = chaotic_probe  # type: ignore[method-assign]
-
-        def restore() -> None:
-            dataplane.probe = original  # type: ignore[method-assign]
-
-        return restore
+        return dataplane.add_probe_fault(self.probe_filter(profile, target))
 
     # -- server faults ---------------------------------------------------------
 
-    def wrap_server(self, server: Any, profile: FaultProfile,
+    def wrap_server(self, server: BootstrapService, profile: FaultProfile,
                     name: str = "") -> "FaultyServer":
         """A proxy around a bootstrap-style server with injected outages."""
         return FaultyServer(server, profile, self, name or getattr(server, "ip", "server"))
 
     # -- control-plane faults ---------------------------------------------------
 
-    def wrap_ca(self, ca: Any, profile: FaultProfile,
+    def wrap_ca(self, ca: CertificateAuthority, profile: FaultProfile,
                 name: str = "") -> "FaultyCa":
-        """A proxy around a :class:`CaService` with injected outages.
-
-        Issuance and renewal calls raise :class:`CaOutage` while the CA is
-        marked down or, per request, with the profile's ``outage``
-        probability; certificate-renewal clients retry with backoff.
-        """
+        """A proxy around a :class:`CaService` with injected outages."""
         return FaultyCa(ca, profile, self, name or getattr(ca, "name", "ca"))
 
     def crash_service(self, supervisor: Any, name: str, now: float,
@@ -309,131 +292,79 @@ class FaultInjector:
         return NetworkPartition(topology, ases, self, now, mode)
 
 
-class FaultyServer:
-    """Proxy for a :class:`BootstrapServer`-shaped object under chaos.
+class _OutageProxy:
+    """Stands in for a service whose ``gated`` requests can be refused.
 
-    Requests (``get_topology`` / ``get_trcs``) fail with
-    :class:`ServerOutage` while the server is marked down or, per request,
-    with the profile's ``outage`` probability.  Everything else delegates
-    to the wrapped server, so the proxy can be registered in a
-    bootstrapper's server map in place of the original.
+    A gated request raises ``outage_error`` while the service is marked
+    down (:meth:`set_down`) or, per request, with the profile's ``outage``
+    probability (recorded at the request's ``now``, when it takes one).
+    Every other attribute is the wrapped object's own, so the proxy can
+    stand wherever the original was registered.
     """
 
-    def __init__(self, server: Any, profile: FaultProfile,
+    gated: Tuple[str, ...] = ()
+    outage_error: Type[Exception] = Exception
+    label = "service"
+    down_kind, up_kind = "outage", "recovery"
+
+    def __init__(self, target: Any, profile: FaultProfile,
                  injector: FaultInjector, name: str):
-        self._server = server
+        self._target = target
         self.profile = profile
         self.injector = injector
         self.name = name
         self.down = False
         self.refused_requests = 0
-
-    # The attributes the bootstrapper reads off a server.
-    @property
-    def ip(self) -> str:
-        return self._server.ip
-
-    @property
-    def port(self) -> int:
-        return self._server.port
-
-    @property
-    def processing_s(self) -> float:
-        return self._server.processing_s
 
     def set_down(self, down: bool, now: float = 0.0) -> None:
         """Hard outage toggle (composes with scheduled maintenance)."""
         self.down = down
-        self.injector.record(
-            now, self.name, "server-outage" if down else "server-recovery"
-        )
+        kind = self.down_kind if down else self.up_kind
+        self.injector.record(now, self.name, kind)
 
-    def _gate(self, now: float = 0.0) -> None:
+    def _gate(self, now: float) -> None:
         if self.down:
             self.refused_requests += 1
-            raise ServerOutage(f"bootstrap server {self.name} is down")
+            raise self.outage_error(f"{self.label} {self.name} is down")
         if self.profile.outage and self.injector.rng.random() < self.profile.outage:
             self.refused_requests += 1
-            self.injector.record(now, self.name, "server-outage", "per-request")
-            raise ServerOutage(f"bootstrap server {self.name} refused the request")
+            self.injector.record(now, self.name, self.down_kind, "per-request")
+            raise self.outage_error(f"{self.label} {self.name} refused the request")
 
-    def get_topology(self):
-        self._gate()
-        return self._server.get_topology()
+    def __getattr__(self, attr: str) -> Any:
+        member = getattr(self._target, attr)
+        if attr not in self.gated:
+            return member
 
-    def get_trcs(self):
-        self._gate()
-        return self._server.get_trcs()
+        def request(*args: Any, **kwargs: Any) -> Any:
+            bound = inspect.signature(member).bind(*args, **kwargs)
+            self._gate(bound.arguments.get("now", 0.0))
+            return member(*args, **kwargs)
+
+        return request
 
 
-class FaultyCa:
-    """Proxy for a :class:`CaService`-shaped object under chaos.
+class FaultyServer(_OutageProxy):
+    """A :class:`BootstrapServer`-shaped object under chaos: topology and
+    TRC requests fail with :class:`ServerOutage` during an outage."""
 
-    Issuance requests (``issue_as_certificate`` / ``renew``) fail with
-    :class:`CaOutage` while the CA is marked down or, per request, with the
-    profile's ``outage`` probability.  Read-side helpers
-    (``needs_renewal``, ``issuance_count``) delegate without gating — they
-    are local computations, not requests to the CA.  The proxy can stand in
-    for the CA anywhere a renewal client holds one.
+    gated = ("get_topology", "get_trcs")
+    outage_error = ServerOutage
+    label = "bootstrap server"
+    down_kind, up_kind = "server-outage", "server-recovery"
+
+
+class FaultyCa(_OutageProxy):
+    """A :class:`CaService`-shaped object under chaos: issuance and renewal
+    fail with :class:`CaOutage` during an outage (a PoP maintenance window
+    for the CA).  Read-side helpers (``needs_renewal``, ``issuance_count``)
+    are local computations, not requests to the CA, and are never gated.
     """
 
-    def __init__(self, ca: Any, profile: FaultProfile,
-                 injector: FaultInjector, name: str):
-        self._ca = ca
-        self.profile = profile
-        self.injector = injector
-        self.name = name
-        self.down = False
-        self.refused_requests = 0
-
-    @property
-    def as_cert_lifetime_s(self) -> float:
-        return self._ca.as_cert_lifetime_s
-
-    @property
-    def latest(self):
-        return self._ca.latest
-
-    @property
-    def issued(self):
-        return self._ca.issued
-
-    def set_down(self, down: bool, now: float = 0.0) -> None:
-        """Hard outage toggle (a PoP maintenance window for the CA)."""
-        self.down = down
-        self.injector.record(
-            now, self.name, "ca-outage" if down else "ca-recovery"
-        )
-
-    def _gate(self, now: float = 0.0) -> None:
-        if self.down:
-            self.refused_requests += 1
-            raise CaOutage(f"certificate authority {self.name} is down")
-        if self.profile.outage and self.injector.rng.random() < self.profile.outage:
-            self.refused_requests += 1
-            self.injector.record(now, self.name, "ca-outage", "per-request")
-            raise CaOutage(
-                f"certificate authority {self.name} refused the request"
-            )
-
-    def issue_as_certificate(self, subject_ia, subject_public_key, now,
-                             lifetime_s=None):
-        self._gate(now)
-        return self._ca.issue_as_certificate(
-            subject_ia, subject_public_key, now, lifetime_s
-        )
-
-    def renew(self, subject_ia, now):
-        self._gate(now)
-        return self._ca.renew(subject_ia, now)
-
-    def needs_renewal(self, cert, now, renewal_fraction=None):
-        if renewal_fraction is None:
-            return self._ca.needs_renewal(cert, now)
-        return self._ca.needs_renewal(cert, now, renewal_fraction)
-
-    def issuance_count(self, subject_ia=None):
-        return self._ca.issuance_count(subject_ia)
+    gated = ("issue_as_certificate", "renew")
+    outage_error = CaOutage
+    label = "certificate authority"
+    down_kind, up_kind = "ca-outage", "ca-recovery"
 
 
 # -- network partitions ----------------------------------------------------------

@@ -495,32 +495,12 @@ class CrucibleWorld:
         self.served: List[ServedPath] = []
         self.clock_high_water = self.sim.now
         self.baseline_goodput = 0.0
-        # Overlap-safe fault state: probe-chaos filters compose through
-        # one permanent wrapper; link outages refcount per link.
-        self._probe_filters: Dict[int, Callable[[Any, float], Any]] = {}
-        self._install_probe_wrapper()
+        # Overlap-safe fault state: link and CA outages refcount.
         self._link_down_counts: Dict[str, int] = {}
         self._ca_down_counts: Dict[int, int] = {}
         self._faulty_cas: Dict[int, Any] = {}
 
     # -- chaos plumbing ----------------------------------------------------------
-
-    def _install_probe_wrapper(self) -> None:
-        dataplane = self.network.dataplane
-        original = dataplane.probe
-        filters = self._probe_filters
-
-        def crucible_probe(path, now):
-            result = original(path, now)
-            # Insertion-ordered application keeps overlapping probe-chaos
-            # faults deterministic and individually removable (a classic
-            # wrap/restore pair would resurrect an inner wrapper when an
-            # outer fault heals first).
-            for key in sorted(filters):
-                result = filters[key](result, now)
-            return result
-
-        dataplane.probe = crucible_probe  # type: ignore[method-assign]
 
     def faulty_ca(self, isd: int):
         ca = self._faulty_cas.get(isd)
@@ -712,15 +692,10 @@ def _apply_fault(world: CrucibleWorld, spec: FaultSpec, fault_id: int) -> None:
             loss=0.05 + 0.25 * spec.param,
             corrupt=0.05 * spec.param,
         )
-        world._probe_filters[fault_id] = injector.probe_filter(
-            profile, target=f"probe-chaos#{fault_id}"
-        )
-        injector.record(now, f"probe-chaos#{fault_id}", "loss",
-                        f"window open p={profile.loss:.3f}")
-        sim.schedule_at(
-            heal_at,
-            lambda: world._probe_filters.pop(fault_id, None),
-        )
+        target = f"probe-chaos#{fault_id}"
+        heal = injector.wrap_dataplane(world.network.dataplane, profile, target)
+        injector.record(now, target, "loss", f"window open p={profile.loss:.3f}")
+        sim.schedule_at(heal_at, heal)
     elif spec.kind == "partition":
         candidates = sorted(
             ia for ia, topo in world.network.topology.ases.items()

@@ -80,6 +80,8 @@ class Link:
         #: endpoint -> number of overlapping partitions cutting it; the
         #: set above stays the hot-path view (membership only at zero).
         self._block_refs: dict = {}
+        #: Registered faults, oldest first (see :meth:`add_fault`).
+        self._faults: dict = {}
         self.stats = LinkStats()
         self._rng = rng or random.Random(0xC1E2A)
         # Time at which each direction's transmitter becomes free.
@@ -120,6 +122,16 @@ class Link:
         self._block_refs.pop(endpoint, None)
         self.blocked_senders.discard(endpoint)
 
+    def add_fault(self, fault: Callable[[float], Any]) -> Callable[[], None]:
+        """Consult ``fault(now)`` for every frame, after earlier registrations:
+        it answers a drop reason (``str``) or ``(extra one-way delay, copies)``.
+        The returned remover takes out exactly this registration."""
+        def remove() -> None:
+            self._faults.pop(remove, None)
+
+        self._faults[remove] = fault
+        return remove
+
     def transmit(
         self,
         sim: Simulator,
@@ -146,20 +158,32 @@ class Link:
             if drop:
                 drop("partition")
             return
-        if self.loss and self._rng.random() < self.loss:
-            self.stats.frames_dropped_loss += 1
-            if drop:
-                drop("loss")
-            return
-        ser = 0.0
-        if self.bandwidth_bps:
-            ser = size_bytes * 8 / self.bandwidth_bps
-        start = max(sim.now, self._tx_free_at[sender])
-        done = start + ser
-        self._tx_free_at[sender] = done
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += size_bytes
-        sim.schedule_at(done + self.latency_s, self._deliver_if_up, deliver, drop)
+        delay_s, copies = self.latency_s, 1
+        if self._faults:
+            for fault in tuple(self._faults.values()):
+                verdict = fault(sim.now)
+                if isinstance(verdict, str):
+                    self.stats.frames_dropped_loss += 1
+                    if drop:
+                        drop(verdict)
+                    return
+                delay_s, copies = delay_s + verdict[0], copies * verdict[1]
+        while copies:  # each copy rolls the link's own loss and queues (FIFO)
+            copies -= 1
+            if self.loss and self._rng.random() < self.loss:
+                self.stats.frames_dropped_loss += 1
+                if drop:
+                    drop("loss")
+                continue
+            ser = 0.0
+            if self.bandwidth_bps:
+                ser = size_bytes * 8 / self.bandwidth_bps
+            start = max(sim.now, self._tx_free_at[sender])
+            done = start + ser
+            self._tx_free_at[sender] = done
+            self.stats.frames_sent += 1
+            self.stats.bytes_sent += size_bytes
+            sim.schedule_at(done + delay_s, self._deliver_if_up, deliver, drop)
 
     def _deliver_if_up(
         self, deliver: Callable[[], None], drop: Optional[Callable[[str], None]]

@@ -197,13 +197,14 @@ def build_health_report(
     report.down_links = sorted(
         name for name, link in network.topology.links.items() if not link.up
     )
-    for ia in sorted(network.dataplane.routers):
-        router = network.dataplane.routers[ia]
-        report.down_interfaces[str(ia)] = sorted(router.down_interfaces)
+    # TTLs lapse lazily (on the next packet or lookup): read the facts at now.
+    for ia, router in sorted(network.dataplane.routers.items()):
+        report.down_interfaces[str(ia)] = sorted(router.down_interfaces_at(now))
 
-    report.quarantined_segments = network.registry.quarantined_count()
+    report.quarantined_segments = network.registry.quarantined_count(now)
     report.active_revocations = [
         rev.key for rev in network.registry.active_revocations()
+        if rev.active(now)
     ]
 
     if supervisor is not None:

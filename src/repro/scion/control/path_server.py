@@ -233,16 +233,18 @@ class SegmentRegistry:
                             newest[ia] = seg.timestamp
         return newest
 
-    def quarantined_count(self) -> int:
-        """How many registered segments are currently filtered from lookups."""
-        if not self._revocations:
+    def quarantined_count(self, now: Optional[float] = None) -> int:
+        """How many registered segments are currently filtered from lookups —
+        with ``now``, not counting revocations past their TTL that no lookup
+        has purged yet (a pure read, unlike ``active_revocations(now)``)."""
+        live = [r for r in self._revocations.values() if now is None or r.active(now)]
+        if not live:
             return 0
         return sum(
-            1
+            any(segment_crosses(seg, rev.ia, rev.ifid) for rev in live)
             for table in (self._down, self._core)
             for bucket in table.values()
             for seg in bucket.values()
-            if self.is_revoked(seg)
         )
 
     def _purge_expired_revocations(self, now: float) -> int:

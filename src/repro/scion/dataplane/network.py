@@ -130,6 +130,8 @@ class ScionDataplane:
         #: must never be confused with interface-down (daemons ignore it
         #: for down-marking — see ``Daemon.handle_scmp``).
         self.queue_full_scmp = queue_full_scmp
+        #: Registered probe faults, oldest first (see :meth:`add_probe_fault`).
+        self._probe_faults: dict = {}
 
     def revocation_for(
         self, scmp: ScmpMessage, now: float
@@ -333,10 +335,23 @@ class ScionDataplane:
         if result.success and self.topology.partitioned_links:
             reply = self._reply_partitioned(path)
             if reply is not None:
-                return ProbeResult(
+                result = ProbeResult(
                     False, failure="partition-reply", failed_at=reply,
                 )
+        if self._probe_faults:
+            for fault in tuple(self._probe_faults.values()):
+                result = fault(result, now)
         return result
+
+    def add_probe_fault(self, fault: Callable) -> Callable[[], None]:
+        """Pass every :meth:`probe` outcome through ``fault(result, now) ->
+        result``, after earlier registrations.  The returned remover takes
+        out exactly this registration."""
+        def remove() -> None:
+            self._probe_faults.pop(remove, None)
+
+        self._probe_faults[remove] = fault
+        return remove
 
     def _reply_partitioned(self, path: DataplanePath) -> Optional[IA]:
         """The AS whose *reply* direction is cut, or None if none is.

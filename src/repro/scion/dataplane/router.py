@@ -254,6 +254,10 @@ class BorderRouter:
     def down_interfaces(self) -> Set[int]:
         return set(self._down_interfaces)
 
+    def down_interfaces_at(self, now: float) -> Set[int]:
+        """The marks still in force at ``now`` (a pure read: nothing lapses)."""
+        return {i for i, until in self._down_interfaces.items() if now < until}
+
     # -- egress queueing ----------------------------------------------------------
 
     def try_enqueue(self, ifid: int) -> bool:

@@ -57,9 +57,6 @@ class ScionPacket:
     kind: int = KIND_UDP
     curr_hop: int = 0
 
-    def total_hops(self) -> int:
-        return len(self.path.hops())
-
     def current(self) -> Tuple[HopField, InfoField]:
         hops = self.path.hops()
         if not (0 <= self.curr_hop < len(hops)):

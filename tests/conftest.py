@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.common import diamond_topology
 from repro.sciera.build import ScieraWorld, build_sciera
 from repro.scion.addr import IA
 from repro.scion.network import ScionNetwork
@@ -15,19 +16,7 @@ def make_diamond_topology() -> GlobalTopology:
         /  \\   |
        A    '--A(2nd parent link)   B->C2
     """
-    topo = GlobalTopology()
-    c1, c2 = IA.parse("71-1"), IA.parse("71-2")
-    a, b = IA.parse("71-100"), IA.parse("71-200")
-    topo.add_as(c1, is_core=True, name="core1")
-    topo.add_as(c2, is_core=True, name="core2")
-    topo.add_as(a, name="leafA")
-    topo.add_as(b, name="leafB")
-    topo.add_link(c1, c2, LinkType.CORE, 0.010, link_name="c1c2-a")
-    topo.add_link(c1, c2, LinkType.CORE, 0.020, link_name="c1c2-b")
-    topo.add_link(a, c1, LinkType.PARENT, 0.005, link_name="a-c1")
-    topo.add_link(a, c2, LinkType.PARENT, 0.006, link_name="a-c2")
-    topo.add_link(b, c2, LinkType.PARENT, 0.004, link_name="b-c2")
-    return topo
+    return diamond_topology()
 
 
 def make_peering_topology() -> GlobalTopology:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.netsim.chaos import (
     Arrival,
+    CaOutage,
     ChaosError,
     FaultEvent,
     FaultInjector,
@@ -16,6 +17,7 @@ from repro.netsim.chaos import (
 from repro.netsim.failures import FailureSchedule, LinkEvent
 from repro.netsim.link import Link
 from repro.netsim.simulator import Simulator
+from repro.scion.addr import IA
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,17 +163,70 @@ class TestProbeFilter:
         assert apply(original, 1.0) is original
         assert injector.events == []
 
-    def test_wrap_dataplane_restores(self):
-        class FakeDataplane:
-            def probe(self, path, now):
-                return FakeProbeResult(True, rtt_s=0.1, one_way_s=0.05)
-
-        dataplane = FakeDataplane()
+    def test_wrap_dataplane_restores(self, fresh_diamond_network):
+        dataplane = fresh_diamond_network.dataplane
+        path = diamond_path(fresh_diamond_network)
         injector = FaultInjector(seed=4)
         restore = injector.wrap_dataplane(dataplane, FaultProfile(loss=0.99))
-        assert not dataplane.probe("p", 0.0).success
+        assert dataplane.probe(path, 0.0).failure == "chaos-loss"
         restore()
-        assert dataplane.probe("p", 0.0).success
+        assert dataplane.probe(path, 0.0).success
+
+
+def diamond_path(network):
+    return network.paths(IA.parse("71-100"), IA.parse("71-200"))[0].path
+
+
+class TestOverlappingWindows:
+    """Two fault windows on one target, healed in either order: removing
+    one leaves the other in force, removing both leaves nothing behind."""
+
+    @pytest.mark.parametrize("first_out", [0, 1])
+    def test_wrap_dataplane_removers_compose(self, fresh_diamond_network, first_out):
+        dataplane = fresh_diamond_network.dataplane
+        path = diamond_path(fresh_diamond_network)
+        injectors = [FaultInjector(seed=1), FaultInjector(seed=2)]
+        removers = [
+            injectors[0].wrap_dataplane(dataplane, FaultProfile(loss=0.999), "A"),
+            injectors[1].wrap_dataplane(
+                dataplane, FaultProfile(latency_spike=0.999), "B"
+            ),
+        ]
+        removers[first_out]()
+        stays = injectors[1 - first_out]
+        before = len(stays.events)
+        for _ in range(5):
+            dataplane.probe(path, 1.0)
+        assert len(stays.events) == before + 5  # its window is still open
+        removers[1 - first_out]()
+        recorded = [len(injector.events) for injector in injectors]
+        assert all(dataplane.probe(path, 2.0).success for _ in range(100))
+        assert [len(injector.events) for injector in injectors] == recorded
+
+    @pytest.mark.parametrize("first_out", [0, 1])
+    def test_wrap_link_removers_compose(self, first_out):
+        sim = Simulator()
+        link = Link("l", "x", "y", latency_s=0.01)
+        injectors = [FaultInjector(seed=1), FaultInjector(seed=2)]
+        removers = [
+            injectors[0].wrap_link(link, FaultProfile(loss=0.999)),
+            injectors[1].wrap_link(link, FaultProfile(latency_spike=0.999)),
+        ]
+        removers[first_out]()
+        stays = injectors[1 - first_out]
+        before = len(stays.events)
+        for _ in range(5):
+            link.transmit(sim, "x", 100, lambda: None)
+        assert len(stays.events) == before + 5  # its window is still open
+        removers[1 - first_out]()
+        recorded = [len(injector.events) for injector in injectors]
+        state, deliver = deliver_counter()
+        drops = []
+        for _ in range(100):
+            link.transmit(sim, "x", 100, deliver, drops.append)
+        sim.run()
+        assert (state["count"], drops) == (100, [])
+        assert [len(injector.events) for injector in injectors] == recorded
 
 
 class TestFaultyServer:
@@ -319,6 +374,57 @@ class TestFaultyCa:
         faulty.set_down(True, now=0.0)
         assert faulty.needs_renewal(None, 0.0) is False
         assert faulty.issuance_count() == 0
+
+
+class TestOutageProxy:
+    """FaultyServer and FaultyCa are two declarations over one proxy: it
+    gates exactly the declared requests and is transparent otherwise."""
+
+    CASES = [
+        (FakeServer, "wrap_server", ServerOutage,
+         {"get_topology": (), "get_trcs": ()},
+         ["ip", "port", "processing_s", "topology_calls"]),
+        (FakeCa, "wrap_ca", CaOutage,
+         {"issue_as_certificate": ("71-10", b"pk", 1.0), "renew": ("71-10", 1.0)},
+         ["as_cert_lifetime_s", "latest", "issued", "needs_renewal",
+          "issuance_count", "issue_calls"]),
+    ]
+
+    @pytest.mark.parametrize("make, wrap, error, gated, delegated", CASES)
+    def test_gates_the_declared_requests_and_delegates_the_rest(
+        self, make, wrap, error, gated, delegated
+    ):
+        target = make()
+        proxy = getattr(FaultInjector(seed=1), wrap)(target, FaultProfile(), name="t")
+        assert set(proxy.gated) == set(gated)
+        proxy.set_down(True, now=0.0)
+        for name in vars(type(target)).keys() | vars(target).keys():
+            if name.startswith("_"):
+                continue
+            if name in gated:
+                with pytest.raises(error):
+                    getattr(proxy, name)(*gated[name])
+            else:
+                assert getattr(proxy, name) == getattr(target, name)
+        for name in delegated:
+            assert getattr(proxy, name) == getattr(target, name)
+        assert proxy.refused_requests == len(gated)
+        with pytest.raises(AttributeError):
+            proxy.no_such_member
+
+    def test_per_request_refusal_is_stamped_with_the_request_time(self):
+        injector = FaultInjector(seed=7)
+        faulty = injector.wrap_ca(FakeCa(), FaultProfile(outage=0.9), name="ca")
+        for call in (
+            lambda: faulty.renew("71-10", 3.0),
+            lambda: faulty.renew("71-10", now=4.0),
+            lambda: faulty.issue_as_certificate("71-10", b"pk", now=5.0),
+        ):
+            with pytest.raises(CaOutage):
+                call()
+        assert [(e.time_s, e.kind, e.detail) for e in injector.events] == [
+            (t, "ca-outage", "per-request") for t in (3.0, 4.0, 5.0)
+        ]
 
 
 class TestCrashServiceFault:

@@ -140,6 +140,36 @@ class TestHealthReport:
         finally:
             network.set_link_state("a-c2", True)
 
+    def test_report_drops_marks_and_revocations_past_their_ttl(self):
+        """The status page must not outlive the facts: TTLs lapse lazily in
+        the router and the registry, but the report reads them at ``now``
+        — and reading must not purge anything or bump a counter."""
+        network, _ = self._network()
+        t0 = float(network.timestamp)
+        network.revoke_interface(A, 2, now=t0, ttl_s=1.0)
+        during = build_health_report(network, now=t0 + 0.5)
+        assert during.down_interfaces[str(A)] == [2]
+        assert during.active_revocations == [f"{A}#2"]
+        assert during.quarantined_segments > 0
+        assert during.status == "DEGRADED"
+
+        version = network.registry.version
+        after = build_health_report(network, now=t0 + 5.0)
+        assert after.down_interfaces[str(A)] == []
+        assert after.active_revocations == []
+        assert after.quarantined_segments == 0
+        assert after.status == "OK"
+        # A pure read: the lapsed state is still there for the next packet
+        # or lookup to remove, and the registry version did not move.
+        assert network.dataplane.routers[A].down_interfaces == {2}
+        assert len(network.registry.active_revocations()) == 1
+        assert network.registry.version == version
+
+        # An operator mark carries no TTL and stays listed.
+        network.dataplane.routers[B].mark_interface_down(1)
+        later = build_health_report(network, now=t0 + 1e9)
+        assert later.down_interfaces[str(B)] == [1]
+
     def test_report_serializes(self):
         import json
 

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro.core.supervisor import Supervisor
+from repro.experiments.common import diamond_topology
 from repro.scion.addr import IA
 from repro.scion.crypto.rsa import RsaKeyPair
 from repro.scion.network import ScionNetwork
@@ -26,7 +27,7 @@ from repro.scion.scmp import (
     path_expired,
     unknown_path_interface,
 )
-from repro.scion.topology import GlobalTopology, LinkType, TopologyError
+from repro.scion.topology import TopologyError
 
 A = IA.parse("71-100")
 B = IA.parse("71-200")
@@ -192,21 +193,6 @@ class TestSignatureEnforcement:
         assert net.registry.active_revocations() == []
 
 
-def _diamond():
-    topo = GlobalTopology()
-    c1 = IA.parse("71-1")
-    topo.add_as(c1, is_core=True, name="core1")
-    topo.add_as(C2, is_core=True, name="core2")
-    topo.add_as(A, name="leafA")
-    topo.add_as(B, name="leafB")
-    topo.add_link(c1, C2, LinkType.CORE, 0.010, link_name="c1c2-a")
-    topo.add_link(c1, C2, LinkType.CORE, 0.020, link_name="c1c2-b")
-    topo.add_link(A, c1, LinkType.PARENT, 0.005, link_name="a-c1")
-    topo.add_link(A, C2, LinkType.PARENT, 0.006, link_name="a-c2")
-    topo.add_link(B, C2, LinkType.PARENT, 0.004, link_name="b-c2")
-    return topo
-
-
 def _run_until_serving(supervisor, name, start, step=0.5, limit=40):
     t = start
     for _ in range(limit):
@@ -222,7 +208,7 @@ class TestQuarantineSurvivesRestart:
     its revocation ledger after restoring (warm) or re-beaconing (cold)."""
 
     def _crash_and_recover(self, warm):
-        network = ScionNetwork(_diamond(), seed=7)
+        network = ScionNetwork(diamond_topology(), seed=7)
         supervisor = Supervisor(
             network, check_interval_s=0.5, checkpoint_interval_s=1.0,
             beacon_round_s=0.5, warm_restore_s=0.05, warm_restart=warm,
@@ -258,7 +244,7 @@ class TestQuarantineSurvivesRestart:
         assert all(key not in m.interfaces for m in served)
 
     def test_expired_ledger_entries_are_not_replayed(self):
-        network = ScionNetwork(_diamond(), seed=7)
+        network = ScionNetwork(diamond_topology(), seed=7)
         supervisor = Supervisor(network, check_interval_s=0.5)
         t0 = float(network.timestamp)
         ia, ifid, _ = _a_side(network)
@@ -269,7 +255,7 @@ class TestQuarantineSurvivesRestart:
     def test_router_down_mark_lapses_with_the_revocation_ttl(self):
         """What the control plane serves again, the data plane forwards
         again: the router's down-mark dies with the revocation's TTL."""
-        network = ScionNetwork(_diamond(), seed=7)
+        network = ScionNetwork(diamond_topology(), seed=7)
         t0 = float(network.timestamp)
         ia, ifid, key = _a_side(network)
         router = network.dataplane.routers[ia]
