@@ -200,7 +200,7 @@ class FaultInjector:
         frame's propagation delay; duplication delivers the frame twice.
         Returns a zero-arg function that removes the registration again.
         """
-        return link.add_fault(lambda now: self._roll(profile, link.name, now))
+        return link.add_fault(lambda now, sender: self._roll(profile, link.name, now))
 
     def probe_filter(
         self, profile: FaultProfile, target: str
@@ -276,7 +276,9 @@ class FaultInjector:
         end hosts learn about it), a partition is a *silent* blackhole:
         frames and probes crossing the cut vanish at the sender's egress
         with no error signal — the real-world shape of a filtered VLAN or
-        a one-way fibre fault.  ``mode`` selects which directions die:
+        a one-way fibre fault.  It is an ordinary link fault, one
+        :meth:`Link.add_fault` registration per cut direction.  ``mode``
+        selects which directions die:
 
         - ``"symmetric"``: both directions of every cut link;
         - ``"outbound"``: only frames *leaving* the subset blackhole
@@ -374,12 +376,13 @@ class NetworkPartition:
     """An active cut isolating a set of ASes (see :meth:`FaultInjector.partition`).
 
     The cut set is every inter-AS link with exactly one endpoint inside the
-    subset; intra-subset and fully-outside links are untouched.  Blocking
-    is per *direction* via :meth:`Link.block_sender`, so ``link.up`` stays
-    true — routers do not see the cut, no SCMP circulates, and healing
-    restores connectivity instantly without reconvergence machinery.  The
-    topology's ``partitioned_links`` set is kept in sync so the dataplane
-    can skip its partition checks entirely while no cut is active.
+    subset; intra-subset and fully-outside links are untouched.  Each cut
+    direction is one :meth:`Link.add_fault` registration answering
+    ``"partition"`` to frames from the cut sender, so ``link.up`` stays
+    true — routers do not see the cut, no SCMP circulates, and healing (the
+    registrations' removers) restores connectivity instantly without
+    reconvergence machinery.  Overlapping partitions hold a registration
+    each: a direction cut twice reopens when the last holder heals.
     """
 
     def __init__(self, topology: Any, ases: Iterable[Any], injector: FaultInjector,
@@ -391,13 +394,12 @@ class NetworkPartition:
         subset = {str(ia) for ia in ases}
         if not subset:
             raise ChaosError("partition requires at least one AS")
-        self.topology = topology
         self.injector = injector
         self.mode = mode
         self.ases = frozenset(subset)
         self.healed = False
-        #: (link, blocked sender endpoint) pairs this partition applied.
-        self._blocks: List[Tuple[Link, Any]] = []
+        #: (link name, remover) per direction this partition cut.
+        self._cuts: List[Tuple[str, Callable[[], None]]] = []
         for name, ((ia_a, _), (ia_b, _)) in topology.link_attachments.items():
             a_in, b_in = str(ia_a) in subset, str(ia_b) in subset
             if a_in == b_in:
@@ -405,36 +407,32 @@ class NetworkPartition:
             link = topology.links[name]
             inside, outside = (link.a, link.b) if a_in else (link.b, link.a)
             if mode in ("symmetric", "outbound"):
-                self._block(link, inside)
+                self._cut(link, inside)
             if mode in ("symmetric", "inbound"):
-                self._block(link, outside)
-            topology.partitioned_links.add(name)
+                self._cut(link, outside)
         self.name = ",".join(sorted(subset))
         injector.record(
             now, self.name, "partition-start",
-            f"{mode}, {len({l.name for l, _ in self._blocks})} links cut",
+            f"{mode}, {len(self.cut_links)} links cut",
         )
 
-    def _block(self, link: Link, sender: Any) -> None:
-        # Overlapping partitions may block the same direction twice; the
-        # link refcounts, so each partition heals exactly what it applied
-        # and the direction reopens only when the last holder heals.
-        link.block_sender(sender)
-        self._blocks.append((link, sender))
+    def _cut(self, link: Link, cut_sender: Any) -> None:
+        remove = link.add_fault(
+            lambda now, sender: "partition" if sender == cut_sender else (0.0, 1)
+        )
+        self._cuts.append((link.name, remove))
 
     @property
     def cut_links(self) -> List[str]:
-        return sorted({link.name for link, _ in self._blocks})
+        return sorted({name for name, _ in self._cuts})
 
     def heal(self, now: float) -> None:
         """Restore every direction this partition cut (idempotent)."""
         if self.healed:
             return
         self.healed = True
-        for link, sender in self._blocks:
-            link.unblock_sender(sender)
-            if not link.blocked_senders:
-                self.topology.partitioned_links.discard(link.name)
+        for _, remove in self._cuts:
+            remove()
         self.injector.record(now, self.name, "partition-heal", self.mode)
 
 

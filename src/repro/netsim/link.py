@@ -23,8 +23,6 @@ class LinkStats:
     frames_sent: int = 0
     frames_dropped_down: int = 0
     frames_dropped_loss: int = 0
-    #: Frames silently blackholed because their direction is partitioned.
-    frames_dropped_partition: int = 0
     bytes_sent: int = 0
 
 
@@ -68,18 +66,6 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.loss = loss
         self.up = True
-        #: Endpoints whose *sending* direction is currently cut by a
-        #: network partition.  Unlike ``up`` (which both directions share
-        #: and which routers detect and report via SCMP), a partitioned
-        #: direction is a silent blackhole: frames vanish at the sender's
-        #: egress with no error signal, and the reverse direction may
-        #: still work (asymmetric cuts).  Managed by the chaos layer's
-        #: :class:`~repro.netsim.chaos.NetworkPartition`; empty in normal
-        #: operation so the hot-path check is one falsy test.
-        self.blocked_senders: set = set()
-        #: endpoint -> number of overlapping partitions cutting it; the
-        #: set above stays the hot-path view (membership only at zero).
-        self._block_refs: dict = {}
         #: Registered faults, oldest first (see :meth:`add_fault`).
         self._faults: dict = {}
         self.stats = LinkStats()
@@ -100,37 +86,29 @@ class Link:
     def set_up(self, up: bool) -> None:
         self.up = up
 
-    def block_sender(self, endpoint: Any) -> None:
-        """Cut one direction: frames sent *by* ``endpoint`` blackhole.
-
-        Refcounted: overlapping partitions may cut the same direction,
-        and healing one must not reopen it while another still holds it.
-        """
-        if endpoint not in self._tx_free_at:
-            raise ValueError(
-                f"{endpoint!r} is not an endpoint of link {self.name}"
-            )
-        self._block_refs[endpoint] = self._block_refs.get(endpoint, 0) + 1
-        self.blocked_senders.add(endpoint)
-
-    def unblock_sender(self, endpoint: Any) -> None:
-        """Heal one direction (no-op if it was not blocked)."""
-        refs = self._block_refs.get(endpoint, 0)
-        if refs > 1:
-            self._block_refs[endpoint] = refs - 1
-            return
-        self._block_refs.pop(endpoint, None)
-        self.blocked_senders.discard(endpoint)
-
-    def add_fault(self, fault: Callable[[float], Any]) -> Callable[[], None]:
-        """Consult ``fault(now)`` for every frame, after earlier registrations:
-        it answers a drop reason (``str``) or ``(extra one-way delay, copies)``.
-        The returned remover takes out exactly this registration."""
+    def add_fault(self, fault: Callable[[float, Any], Any]) -> Callable[[], None]:
+        """Consult ``fault(now, sender)`` for every frame, after earlier
+        registrations: it answers a drop reason (``str``) or ``(extra one-way
+        delay, copies)``; ``sender`` is the endpoint the frame leaves, so a
+        fault can cut one direction and spare the other.  The returned remover
+        takes out exactly this registration."""
         def remove() -> None:
             self._faults.pop(remove, None)
 
         self._faults[remove] = fault
         return remove
+
+    def consult_faults(self, now: float, sender: Any, delay_s: float) -> Any:
+        """What the registered faults make of one frame from ``sender``: the
+        first drop reason, or ``(delay_s plus each extra delay in registration
+        order, copies)``.  Read by :meth:`transmit` and by the analytic walk."""
+        copies = 1
+        for fault in tuple(self._faults.values()):
+            verdict = fault(now, sender)
+            if isinstance(verdict, str):
+                return verdict
+            delay_s, copies = delay_s + verdict[0], copies * verdict[1]
+        return delay_s, copies
 
     def transmit(
         self,
@@ -153,21 +131,15 @@ class Link:
             if drop:
                 drop("link-down")
             return
-        if self.blocked_senders and sender in self.blocked_senders:
-            self.stats.frames_dropped_partition += 1
-            if drop:
-                drop("partition")
-            return
         delay_s, copies = self.latency_s, 1
         if self._faults:
-            for fault in tuple(self._faults.values()):
-                verdict = fault(sim.now)
-                if isinstance(verdict, str):
-                    self.stats.frames_dropped_loss += 1
-                    if drop:
-                        drop(verdict)
-                    return
-                delay_s, copies = delay_s + verdict[0], copies * verdict[1]
+            verdict = self.consult_faults(sim.now, sender, delay_s)
+            if isinstance(verdict, str):
+                self.stats.frames_dropped_loss += 1
+                if drop:
+                    drop(verdict)
+                return
+            delay_s, copies = verdict
         while copies:  # each copy rolls the link's own loss and queues (FIFO)
             copies -= 1
             if self.loss and self._rng.random() < self.loss:

@@ -1,13 +1,21 @@
 """End-to-end packet delivery across the simulated SCION topology.
 
-Two modes share the same router decision logic:
+Two modes drive one per-hop step (:meth:`ScionDataplane._step`: router
+lookup, the router's decision, egress interface -> link, "does this link
+lead to the next AS on the path"):
 
 * :meth:`ScionDataplane.probe` — a synchronous walk used by measurement
-  campaigns (millions of pings): verifies every hop MAC, checks link state,
-  and returns the round-trip time analytically.
+  campaigns (millions of pings): verifies every hop MAC, checks link state
+  and registered link faults, and returns the round-trip time analytically.
 * :meth:`ScionDataplane.send` — event-driven delivery through the
   discrete-event simulator, used by the packet-level experiments
   (dispatcher bottleneck, Hercules transfers).
+
+They do not share queueing (egress queues and link transmitters exist only
+event-driven: the walk is a send on an idle network) nor, today, the
+processing-delay accounting: the walk charges ``router_processing_s`` at
+every router, ``send`` only at crossover and delivery, because the
+``packet_events`` digest pins arrival times (ROADMAP 4(a)).
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from repro.scion.scmp import (
     ScmpMessage,
     interface_down,
     path_expired,
-    queue_full,
     unknown_path_interface,
 )
 from repro.scion.topology import GlobalTopology
@@ -68,7 +75,9 @@ class DropLocation:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Outcome of walking one path."""
+    """Outcome of walking one path.  A one-way ``walk`` can succeed and still
+    name a ``failure`` (``<reason>-reply`` at ``failed_at``): the link fault
+    that would drop the echo reply, which ``probe`` reports as a failure."""
 
     success: bool
     rtt_s: float = 0.0
@@ -81,9 +90,9 @@ class ProbeResult:
     failed_ifid: Optional[int] = None
     #: The SCMP error a real router would route back to the source, when
     #: the failure maps to one (interface-down, unknown interface, path
-    #: expired). Loss produces no SCMP, and analytic walks never hit a
-    #: queue; event-driven queue overflows emit a QUEUE_FULL congestion
-    #: signal only when the dataplane's ``queue_full_scmp`` flag is set.
+    #: expired). Loss and registered link faults produce no SCMP, analytic
+    #: walks never hit a queue, and event-driven queue overflows are shed
+    #: silently.
     scmp: Optional[ScmpMessage] = None
     #: Revocation minted from ``scmp`` when it is interface-scoped, signed
     #: by the failing AS if its signing key is known to the dataplane.
@@ -108,7 +117,6 @@ class ScionDataplane:
         signing_keys: Optional[Dict[IA, RsaKeyPair]] = None,
         revocation_ttl_s: float = DEFAULT_REVOCATION_TTL_S,
         telemetry: Optional[Telemetry] = None,
-        queue_full_scmp: bool = False,
     ):
         self.topology = topology
         tel = resolve(telemetry)
@@ -123,13 +131,6 @@ class ScionDataplane:
         #: other ASes can verify them.
         self.signing_keys: Dict[IA, RsaKeyPair] = dict(signing_keys or {})
         self.revocation_ttl_s = revocation_ttl_s
-        #: When True, a bounded egress queue overflow routes an SCMP
-        #: DESTINATION_UNREACHABLE/CODE_QUEUE_FULL back to the source so
-        #: senders can back off.  Off by default: legacy experiments model
-        #: routers that shed congestion silently, and the congestion SCMP
-        #: must never be confused with interface-down (daemons ignore it
-        #: for down-marking — see ``Daemon.handle_scmp``).
-        self.queue_full_scmp = queue_full_scmp
         #: Registered probe faults, oldest first (see :meth:`add_probe_fault`).
         self._probe_faults: dict = {}
 
@@ -169,10 +170,9 @@ class ScionDataplane:
         """Walk a path once (one way), verifying hops and link state.
 
         This is the measurement-campaign hot path (millions of probes per
-        experiment): the forwarding plan is the path's cached tuple, the
-        per-iteration state is two scalars, and instance attributes are
-        bound to locals once — the loop allocates nothing until the final
-        :class:`ProbeResult`.
+        experiment): the forwarding plan is the path's cached tuple, instance
+        attributes are bound to locals once, and a hop costs one call into
+        the shared step (:meth:`_step`) plus the tuple it answers with.
 
         With a :class:`~repro.obs.profile.Profiler` attached to the
         telemetry bundle, each walk is attributed under a
@@ -193,42 +193,86 @@ class ScionDataplane:
         )
         return result
 
+    def _step(
+        self, record: HopRecord, next_record: Optional[HopRecord],
+        arrival_ifid: Optional[int], now: float,
+    ) -> tuple:
+        """One hop at one router, the part every mode shares:
+        ``(stopped, router, decision, link, iface)``.
+
+        ``stopped`` names what ended the packet other than the router's own
+        verdict (``unknown-as``, ``no-link``, ``path-link-mismatch``).  With
+        None there, ``link`` and ``iface`` are the egress of a FORWARD
+        decision, known to lead to the next AS on the path (None for other
+        verdicts).  Link state, faults, queueing and delay are the drivers'.
+        """
+        router = self.routers.get(record.hop.ia)
+        if router is None:
+            return "unknown-as", None, None, None, None
+        decision = router.decide(record, next_record, arrival_ifid, now)
+        if decision.verdict is not Verdict.FORWARD:
+            return None, router, decision, None, None
+        # ``router.topology`` is this AS's entry in ``self.topology``.
+        stopped, link, iface = self._egress(
+            router.topology.interfaces, decision.egress_ifid, next_record
+        )
+        return stopped, router, decision, link, iface
+
+    def _egress(self, interfaces: dict, egress_ifid: int, next_record: HopRecord):
+        """``(stopped, link, iface)`` for an AS's egress interface id: stopped
+        unless the link exists and its far end is the AS of ``next_record``."""
+        iface = interfaces.get(egress_ifid)
+        link = None if iface is None else self.topology.links.get(iface.link_name)
+        if link is None:
+            return "no-link", None, None
+        if next_record.hop.ia != iface.remote_ia:
+            return "path-link-mismatch", None, None
+        return None, link, iface
+
     def _walk(self, path: DataplanePath, now: float) -> ProbeResult:
         records = path.forwarding_plan()
         if not records:
             return ProbeResult(False, failure="empty-path")
-        routers = self.routers
-        topology = self.topology
+        step = self._step
         processing = self.router_processing_s
         count = len(records)
         delay = 0.0
+        # Touched only where a crossed link has registered faults: the delay
+        # they added, and (link, far-end AS) for the echo reply's turn.
+        extra, faulted = 0.0, ()
         arrival_ifid: Optional[int] = None
         index = 0
         while index < count:
             record = records[index]
+            index += 1
+            next_record = records[index] if index < count else None
+            stopped, router, decision, link, iface = step(
+                record, next_record, arrival_ifid, now
+            )
             record_ia = record.hop.ia
-            router = routers.get(record_ia)
-            if router is None:
-                return ProbeResult(
-                    False, failure="unknown-as", failed_at=record_ia
-                )
-            next_record = records[index + 1] if index + 1 < count else None
-            decision = router.decide(record, next_record, arrival_ifid, now)
+            if stopped:
+                return ProbeResult(False, failure=stopped, failed_at=record_ia)
             delay += processing
-            verdict = decision.verdict
-            if verdict is Verdict.DELIVER:
-                return ProbeResult(True, rtt_s=2 * delay, one_way_s=delay)
-            if verdict is Verdict.CROSSOVER:
-                index += 1
-                arrival_ifid = None
-                continue
-            if verdict is not Verdict.FORWARD:
-                return self._verdict_result(decision, record_ia, now)
-            link = topology.link_between(record_ia, decision.egress_ifid)
             if link is None:
-                return ProbeResult(
-                    False, failure="no-link", failed_at=record_ia
-                )
+                verdict = decision.verdict
+                if verdict is Verdict.CROSSOVER:
+                    arrival_ifid = None
+                    continue
+                if verdict is not Verdict.DELIVER:
+                    return self._verdict_result(decision, record_ia, now)
+                # The echo reply reverses the path: each faulted link is
+                # consulted again for its far end's sending direction, so an
+                # asymmetric cut fails the round trip after a clean walk.
+                rtt = 2 * delay + extra
+                for crossed, far in faulted:
+                    reply = crossed.consult_faults(now, str(far), 0.0)
+                    if isinstance(reply, str):
+                        return ProbeResult(
+                            True, one_way_s=delay + extra,
+                            failure=reply + "-reply", failed_at=far,
+                        )
+                    rtt += reply[0]
+                return ProbeResult(True, rtt_s=rtt, one_way_s=delay + extra)
             if not link.up:
                 router.link_down_drops.inc()
                 scmp = interface_down(str(record_ia), decision.egress_ifid)
@@ -237,22 +281,20 @@ class ScionDataplane:
                     failed_ifid=decision.egress_ifid,
                     scmp=scmp, revocation=self.revocation_for(scmp, now),
                 )
-            blocked = link.blocked_senders
-            if blocked and str(record_ia) in blocked:
-                # Partition: a silent blackhole — no SCMP, no revocation
-                # (routers cannot see the cut; see NetworkPartition).
-                return ProbeResult(
-                    False, failure="partition", failed_at=record_ia,
-                    failed_ifid=decision.egress_ifid,
-                )
-            iface = topology.get(record_ia).interfaces[decision.egress_ifid]
-            if next_record is None or next_record.hop.ia != iface.remote_ia:
-                return ProbeResult(
-                    False, failure="path-link-mismatch", failed_at=record_ia
-                )
+            if link._faults:
+                # After the ``up`` check, as in ``Link.transmit``.  A fault's
+                # drop (partition, chaos loss) is silent: routers cannot see
+                # it, so no SCMP and no revocation.
+                verdict = link.consult_faults(now, str(record_ia), 0.0)
+                if isinstance(verdict, str):
+                    return ProbeResult(
+                        False, failure=verdict, failed_at=record_ia,
+                        failed_ifid=decision.egress_ifid,
+                    )
+                extra += verdict[0]
+                faulted += ((link, iface.remote_ia),)
             delay += link.latency_s
             arrival_ifid = iface.remote_ifid
-            index += 1
         return ProbeResult(False, failure="fell-off-path")
 
     @staticmethod
@@ -294,30 +336,24 @@ class ScionDataplane:
         index = 0
         while index < len(records):
             record = records[index]
-            router = self.routers.get(record.hop.ia)
-            if router is None:
-                return PathAnalysis(False, (), 0.0, "unknown-as")
-            next_record = records[index + 1] if index + 1 < len(records) else None
-            decision = router.decide(record, next_record, arrival_ifid, now)
-            delay += self.router_processing_s
-            if decision.verdict is Verdict.DELIVER:
-                return PathAnalysis(True, tuple(links), 2 * delay)
-            if decision.verdict is Verdict.CROSSOVER:
-                index += 1
-                arrival_ifid = None
-                continue
-            if decision.verdict is not Verdict.FORWARD:
-                return PathAnalysis(False, (), 0.0, decision.verdict.value)
-            link = self.topology.link_between(record.hop.ia, decision.egress_ifid)
-            if link is None:
-                return PathAnalysis(False, (), 0.0, "no-link")
-            iface = self.topology.get(record.hop.ia).interfaces[decision.egress_ifid]
-            if next_record is None or next_record.hop.ia != iface.remote_ia:
-                return PathAnalysis(False, (), 0.0, "path-link-mismatch")
-            links.append(link)
-            delay += link.latency_s
-            arrival_ifid = iface.remote_ifid
             index += 1
+            next_record = records[index] if index < len(records) else None
+            stopped, _, decision, link, iface = self._step(
+                record, next_record, arrival_ifid, now
+            )
+            if stopped:
+                return PathAnalysis(False, (), 0.0, stopped)
+            delay += self.router_processing_s
+            if link is not None:
+                links.append(link)
+                delay += link.latency_s
+                arrival_ifid = iface.remote_ifid
+            elif decision.verdict is Verdict.DELIVER:
+                return PathAnalysis(True, tuple(links), 2 * delay)
+            elif decision.verdict is Verdict.CROSSOVER:
+                arrival_ifid = None
+            else:
+                return PathAnalysis(False, (), 0.0, decision.verdict.value)
         return PathAnalysis(False, (), 0.0, "fell-off-path")
 
     def probe(self, path: DataplanePath, now: float) -> ProbeResult:
@@ -325,19 +361,14 @@ class ScionDataplane:
 
         SCION replies reverse the same path, so a successful forward walk
         implies a successful reverse walk under the same link state —
-        *except* under asymmetric partitions, where a direction can be cut
-        without the shared ``up`` flag changing.  The reply-direction
-        check below only runs while a partition is active (the topology's
-        ``partitioned_links`` set is non-empty), so the measurement hot
-        path pays a single truthiness test.
+        *except* where a link fault cuts only the reply's direction, which
+        the walk names beside its one-way success and this makes a failure.
         """
         result = self.walk(path, now)
-        if result.success and self.topology.partitioned_links:
-            reply = self._reply_partitioned(path)
-            if reply is not None:
-                result = ProbeResult(
-                    False, failure="partition-reply", failed_at=reply,
-                )
+        if result.failure and result.success:
+            result = ProbeResult(
+                False, failure=result.failure, failed_at=result.failed_at
+            )
         if self._probe_faults:
             for fault in tuple(self._probe_faults.values()):
                 result = fault(result, now)
@@ -353,42 +384,15 @@ class ScionDataplane:
         self._probe_faults[remove] = fault
         return remove
 
-    def _reply_partitioned(self, path: DataplanePath) -> Optional[IA]:
-        """The AS whose *reply* direction is cut, or None if none is.
-
-        The echo reply reverses the path, so for each link the forward
-        walk crossed, the reply's sender is the far endpoint; if that
-        direction is blocked the echo never comes back even though the
-        forward walk succeeded.  Mirrors the link selection of
-        :meth:`path_latency_s`.
-        """
-        records = path.forwarding_plan()
-        for index, record in enumerate(records):
-            if index + 1 >= len(records):
-                break
-            next_record = records[index + 1]
-            if next_record.hop.ia == record.hop.ia:
-                continue
-            _, egress = record.oriented()
-            link = self.topology.link_between(record.hop.ia, egress)
-            if link is None or not link.blocked_senders:
-                continue
-            reply_sender = link.other(str(record.hop.ia))
-            if reply_sender in link.blocked_senders:
-                return next_record.hop.ia
-        return None
-
     def path_latency_s(self, path: DataplanePath) -> float:
         """Static one-way latency estimate (links + processing), ignoring
         link state and MACs — used for PathMeta latency estimates.
 
-        Mirrors the link selection of :meth:`walk`: at a peering boundary
-        (seg-last hop followed by a seg-first hop of a *different* AS) the
-        current record carries the peer hop field minted during beaconing,
-        whose oriented egress is the peering interface — so the peer-link
-        latency is charged, not the seg-last parent egress.  A link whose
-        far end is not the next AS on the path would make :meth:`walk`
-        fail with ``path-link-mismatch``, so its latency is not charged.
+        Selects links as the per-hop step does (:meth:`_egress`): at a
+        peering boundary (seg-last hop followed by a seg-first hop of a
+        *different* AS) the current record carries the peer hop field minted
+        during beaconing, whose oriented egress is the peering interface — so
+        the peer-link latency is charged, not the seg-last parent egress.
 
         Which links a segment crosses is memoised on the (frozen) segment
         per topology — interfaces are only ever added, never re-homed — and
@@ -425,12 +429,8 @@ class ScionDataplane:
             # Segment switch inside one AS (core joint, shortcut
             # crossover): no link is crossed.
             return None
-        _, egress = record.oriented()
-        link = self.topology.link_between(record.hop.ia, egress)
-        if link is None:
-            return None
-        iface = self.topology.get(record.hop.ia).interfaces[egress]
-        return link if iface.remote_ia == next_record.hop.ia else None
+        interfaces = self.topology.get(record.hop.ia).interfaces
+        return self._egress(interfaces, record.oriented()[1], next_record)[1]
 
     # -- event-driven delivery -----------------------------------------------------
 
@@ -447,10 +447,9 @@ class ScionDataplane:
         ``on_dropped`` receives the drop reason plus the :class:`DropLocation`
         (AS and egress ifid when attributable).  ``on_scmp`` receives the
         SCMP error the dropping router routes back to the source, for drops
-        that produce one — chaos loss never does, and queue overflows only
-        produce the (non-interface-scoped) QUEUE_FULL congestion signal
-        when ``queue_full_scmp`` is set, so the source cannot mistake
-        congestion for a dead link.
+        that produce one — link faults (chaos loss, partitions) and queue
+        overflows never do, so the source cannot mistake loss or congestion
+        for a dead link.
         """
         trace_span = None
         tracer = self._telemetry.tracer
@@ -459,8 +458,22 @@ class ScionDataplane:
                 "packet.send", now=sim.now,
                 src=str(packet.src.ia), dst=str(packet.dst.ia),
             )
-        self._hop(sim, packet, None, on_delivered, on_dropped, on_scmp,
-                  trace_span)
+
+        def dropped(reason: str, location: DropLocation, scmp=None) -> None:
+            if trace_span is not None:
+                at = "" if location.ia is None else str(location.ia)
+                tracer.add("packet.drop", now=sim.now, parent=trace_span,
+                           status="error", reason=reason, **{"as": at})
+                if scmp is not None:
+                    tracer.add("scmp.emit", now=sim.now, parent=trace_span,
+                               status="error", type=scmp.scmp_type.name)
+                tracer.end(trace_span, now=sim.now, status="error")
+            if on_dropped is not None:
+                on_dropped(packet, reason, location)
+            if scmp is not None and on_scmp is not None:
+                on_scmp(packet, scmp)
+
+        self._hop(sim, packet, None, on_delivered, dropped, trace_span)
 
     def _hop(
         self,
@@ -468,32 +481,24 @@ class ScionDataplane:
         packet: ScionPacket,
         arrival_ifid: Optional[int],
         on_delivered: Callable[[ScionPacket], None],
-        on_dropped: Optional[Callable[[ScionPacket, str, DropLocation], None]],
-        on_scmp: Optional[Callable[[ScionPacket, ScmpMessage], None]] = None,
-        trace_span=None,
+        dropped: Callable[..., None],
+        trace_span,
     ) -> None:
+        """One hop of an event-driven packet; ``dropped(reason, location,
+        scmp=None)`` is the packet's drop handler built by :meth:`send`."""
         records = packet.path.forwarding_plan()
         if not (0 <= packet.curr_hop < len(records)):
-            self._drop(
-                packet, "hop-pointer-out-of-range", DropLocation(),
-                on_dropped, on_scmp,
-                trace_span=trace_span, now=sim.now,
-            )
+            dropped("hop-pointer-out-of-range", DropLocation())
             return
         record = records[packet.curr_hop]
-        next_record = (
-            records[packet.curr_hop + 1]
-            if packet.curr_hop + 1 < len(records) else None
+        following = packet.curr_hop + 1
+        next_record = records[following] if following < len(records) else None
+        stopped, router, decision, link, iface = self._step(
+            record, next_record, arrival_ifid, sim.now
         )
-        router = self.routers.get(record.hop.ia)
-        if router is None:
-            self._drop(
-                packet, "unknown-as", DropLocation(ia=record.hop.ia),
-                on_dropped, on_scmp,
-                trace_span=trace_span, now=sim.now,
-            )
+        if stopped:
+            dropped(stopped, DropLocation(ia=record.hop.ia))
             return
-        decision = router.decide(record, next_record, arrival_ifid, sim.now)
         tracer = self._telemetry.tracer
         if decision.verdict is Verdict.DELIVER:
             done = sim.now + self.router_processing_s
@@ -507,40 +512,21 @@ class ScionDataplane:
             packet.advance()
             sim.schedule(
                 self.router_processing_s,
-                self._hop, sim, packet, None, on_delivered, on_dropped, on_scmp,
-                trace_span,
-            )
-            return
-        if decision.verdict is not Verdict.FORWARD:
-            location = DropLocation(ia=record.hop.ia, ifid=decision.egress_ifid)
-            self._drop(
-                packet, decision.verdict.value, location, on_dropped, on_scmp,
-                scmp=self._scmp_for_verdict(decision, record.hop.ia),
-                trace_span=trace_span, now=sim.now,
+                self._hop, sim, packet, None, on_delivered, dropped, trace_span,
             )
             return
         egress = decision.egress_ifid
         location = DropLocation(ia=record.hop.ia, ifid=egress)
-        link = self.topology.link_between(record.hop.ia, egress)
         if link is None:
-            self._drop(packet, "no-link", location, on_dropped, on_scmp,
-                       trace_span=trace_span, now=sim.now)
+            dropped(decision.verdict.value, location,
+                    self._scmp_for_verdict(decision, record.hop.ia))
             return
         if not router.try_enqueue(egress):
-            # Bounded egress queue overflow: congestion, not failure.
-            # With ``queue_full_scmp`` the router routes a QUEUE_FULL
-            # error back so the sender can back off; by default it sheds
-            # silently (the legacy behaviour).  Either way no revocation
-            # is minted — the link is healthy, just busy.
-            self._drop(
-                packet, Verdict.DROP_QUEUE_FULL.value, location,
-                on_dropped, on_scmp,
-                scmp=(queue_full(str(record.hop.ia), egress)
-                      if self.queue_full_scmp else None),
-                trace_span=trace_span, now=sim.now,
-            )
+            # Bounded egress queue overflow: congestion, not failure.  The
+            # router sheds silently — no SCMP the source could mistake for
+            # a dead link, and no revocation: the link is healthy, just busy.
+            dropped(Verdict.DROP_QUEUE_FULL.value, location)
             return
-        iface = self.topology.get(record.hop.ia).interfaces[egress]
         packet.advance()
         if trace_span is not None:
             tracer.add("router.hop", now=sim.now, parent=trace_span,
@@ -548,8 +534,8 @@ class ScionDataplane:
 
         def deliver() -> None:
             router.release(egress)
-            self._hop(sim, packet, iface.remote_ifid, on_delivered,
-                      on_dropped, on_scmp, trace_span)
+            self._hop(sim, packet, iface.remote_ifid, on_delivered, dropped,
+                      trace_span)
 
         def drop(reason: str) -> None:
             router.release(egress)
@@ -562,39 +548,12 @@ class ScionDataplane:
                 receiver = self.routers.get(iface.remote_ia)
                 if receiver is not None:
                     receiver.corrupt_frame_drops.inc()
-            # Only a down link is a router-attributable failure; chaos loss
-            # and corruption vanish without an error message.
-            scmp = (
-                interface_down(str(location.ia), egress)
-                if reason == "link-down" else None
-            )
-            self._drop(packet, reason, location, on_dropped, on_scmp, scmp,
-                       trace_span=trace_span, now=sim.now)
+            # Only a down link is a router-attributable failure; link faults
+            # (chaos loss and corruption, partitions) vanish without an
+            # error message.
+            dropped(reason, location,
+                    interface_down(str(location.ia), egress)
+                    if reason == "link-down" else None)
 
         link.transmit(sim, str(record.hop.ia), packet.size_bytes(),
                       deliver=deliver, drop=drop)
-
-    def _drop(
-        self,
-        packet: ScionPacket,
-        reason: str,
-        location: DropLocation,
-        on_dropped: Optional[Callable[[ScionPacket, str, DropLocation], None]],
-        on_scmp: Optional[Callable[[ScionPacket, ScmpMessage], None]] = None,
-        scmp: Optional[ScmpMessage] = None,
-        trace_span=None,
-        now: Optional[float] = None,
-    ) -> None:
-        if trace_span is not None:
-            tracer = self._telemetry.tracer
-            at = "" if location.ia is None else str(location.ia)
-            tracer.add("packet.drop", now=now, parent=trace_span,
-                       status="error", reason=reason, **{"as": at})
-            if scmp is not None:
-                tracer.add("scmp.emit", now=now, parent=trace_span,
-                           status="error", type=scmp.scmp_type.name)
-            tracer.end(trace_span, now=now, status="error")
-        if on_dropped is not None:
-            on_dropped(packet, reason, location)
-        if scmp is not None and on_scmp is not None:
-            on_scmp(packet, scmp)

@@ -115,10 +115,6 @@ class GlobalTopology:
         self.links: Dict[str, Link] = {}
         #: link name -> ((ia_a, ifid_a), (ia_b, ifid_b))
         self.link_attachments: Dict[str, Tuple[Tuple[IA, int], Tuple[IA, int]]] = {}
-        #: Names of links with at least one partitioned direction.
-        #: Maintained by the chaos layer; the dataplane uses emptiness as
-        #: a fast-path guard so probes pay nothing while no cut is active.
-        self.partitioned_links: set = set()
 
     def add_as(
         self,

@@ -172,6 +172,23 @@ class TestProbeFilter:
         restore()
         assert dataplane.probe(path, 0.0).success
 
+    def test_wrap_link_loss_fails_a_probe_over_that_link(self, fresh_diamond_network):
+        """The analytic walk reads the link's fault seam as ``transmit``
+        does: a loss window on one link of the path fails the probe there,
+        and is invisible again once its remover ran."""
+        dataplane = fresh_diamond_network.dataplane
+        path = diamond_path(fresh_diamond_network)
+        link = dataplane.analyze(path, 0.0).links[0]
+        injector = FaultInjector(seed=4)
+        restore = injector.wrap_link(link, FaultProfile(loss=0.99))
+        result = dataplane.probe(path, 0.0)
+        assert (result.failure, result.failed_at) == ("chaos-loss", IA.parse("71-100"))
+        assert result.scmp is None and result.revocation is None
+        assert [(e.target, e.kind) for e in injector.events] == [(link.name, "loss")]
+        restore()
+        assert dataplane.probe(path, 0.0).success
+        assert len(injector.events) == 1
+
 
 def diamond_path(network):
     return network.paths(IA.parse("71-100"), IA.parse("71-200"))[0].path

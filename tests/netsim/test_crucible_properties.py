@@ -104,9 +104,8 @@ class TestPartitionProperties:
         assert not delivered(cut, observer, now + 0.1)
         partition.heal(now + 0.2)
         # Heal => reconvergence, instantly (no SCMP ever circulated), and
-        # no partition state left for the dataplane to pay for.
+        # no fault left registered for the dataplane to pay for.
         assert delivered(observer, cut, now + 0.3)
         assert delivered(cut, observer, now + 0.3)
-        assert not network.topology.partitioned_links
         for link in network.topology.links.values():
-            assert not link.blocked_senders
+            assert not link._faults

@@ -122,7 +122,7 @@ class SeamMachine(RuleBasedStateMachine):
         now = self.sim.now
         delay_s, copies, reason = LATENCY_S, 1, None
         for _, link_fault in self.registered.values():
-            verdict = link_fault(now)
+            verdict = link_fault(now, "x")
             if isinstance(verdict, str):
                 reason = verdict
                 break
@@ -164,7 +164,7 @@ def test_probe_without_faults_returns_what_walk_returned():
 def test_transmit_without_faults_keeps_the_delivery_schedule():
     sim = Simulator()
     link = Link("l", "x", "y", latency_s=LATENCY_S, bandwidth_bps=1e6)
-    link.add_fault(lambda now: "never-consulted")()  # registered, then removed
+    link.add_fault(lambda now, sender: "never-consulted")()  # registered, then removed
     arrivals = []
     for _ in range(2):  # the second frame queues behind the first
         link.transmit(sim, "x", 1000, lambda: arrivals.append(sim.now))
@@ -183,7 +183,7 @@ def test_link_fault_verdicts_are_applied_by_transmit():
     sim = Simulator()
     link = Link("l", "x", "y", latency_s=LATENCY_S)
     verdicts = iter(["chaos-corrupt", (0.5, 1), (0.0, 2)])
-    link.add_fault(lambda now: next(verdicts))
+    link.add_fault(lambda now, sender: next(verdicts))
     arrivals, drops = [], []
     for _ in range(3):
         link.transmit(sim, "x", 100, lambda: arrivals.append(sim.now), drops.append)

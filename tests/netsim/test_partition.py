@@ -31,6 +31,10 @@ def _world(seed: int = 7, telemetry: Telemetry = None):
     return network, injector
 
 
+def _no_fault_registered(network) -> bool:
+    return not any(link._faults for link in network.topology.links.values())
+
+
 def _probe_ok(network, src, dst, now) -> bool:
     metas = network.paths(src, dst, now=now)
     return any(
@@ -51,7 +55,7 @@ class TestPartitionSemantics:
         partition.heal(now + 1.0)
         assert _probe_ok(network, LEAF1, LEAF2, now + 1.0)
         assert _probe_ok(network, LEAF2, LEAF1, now + 1.0)
-        assert not network.topology.partitioned_links
+        assert _no_fault_registered(network)
 
     def test_partition_is_silent_no_link_down(self):
         """Unlike set_link_state, a partition leaves every link *up* —
@@ -110,7 +114,26 @@ class TestPartitionSemantics:
         assert not _probe_ok(network, LEAF2, LEAF1, now + 0.3)
         second.heal(now + 0.4)
         assert _probe_ok(network, LEAF2, LEAF1, now + 0.5)
-        assert not network.topology.partitioned_links
+        assert _no_fault_registered(network)
+
+    @pytest.mark.parametrize("first_healed", [0, 1])
+    def test_direction_cut_twice_reopens_after_the_second_heal(self, first_healed):
+        """Two partitions cutting the same direction each hold their own
+        registration on the link: whichever heals first, the direction
+        stays cut until the other has healed too."""
+        network, injector = _world()
+        now = float(network.timestamp)
+        out = network.paths(LEAF1, LEAF2, now=now)[0].path
+        partitions = [
+            injector.partition(network.topology, [LEAF1], now, mode="outbound"),
+            injector.partition(network.topology, [LEAF1], now, mode="outbound"),
+        ]
+        assert network.dataplane.walk(out, now).failure == "partition"
+        partitions[first_healed].heal(now + 0.1)
+        assert network.dataplane.walk(out, now + 0.2).failure == "partition"
+        partitions[1 - first_healed].heal(now + 0.3)
+        assert network.dataplane.walk(out, now + 0.4).success
+        assert _no_fault_registered(network)
 
     def test_unknown_mode_rejected(self):
         from repro.netsim.chaos import ChaosError

@@ -16,10 +16,8 @@ from repro.scion.dataplane.dispatcher import (
 )
 from repro.scion.dataplane.underlay import IntraAsNetwork, UnderlayError
 from repro.scion.packet import ScionPacket
-from repro.scion.revocation import revocation_from_scmp
 from repro.scion.scmp import (
     CODE_PATH_EXPIRED,
-    CODE_QUEUE_FULL,
     CODE_UNKNOWN_PATH_INTERFACE,
     ScmpType,
 )
@@ -206,39 +204,6 @@ class TestEgressQueue:
         # Congestion is not failure: no SCMP, so no revocation cascade.
         assert scmps == []
         assert router.stats.queue_drops == 1
-
-    def test_queue_overflow_emits_scmp_when_enabled(self, fresh_diamond_network):
-        net = fresh_diamond_network
-        net.dataplane.queue_full_scmp = True
-        try:
-            sim = Simulator()
-            meta = net.paths(A, B)[0]
-            router = net.dataplane.routers[A]
-            for ifid in router.topology.interfaces:
-                for _ in range(router.queue_capacity):
-                    assert router.try_enqueue(ifid)
-            drops, scmps = [], []
-            net.dataplane.send(
-                sim, self._packet(meta),
-                on_delivered=lambda p: pytest.fail("should not deliver"),
-                on_dropped=lambda p, reason, loc: drops.append((reason, loc)),
-                on_scmp=lambda p, msg: scmps.append(msg),
-            )
-            sim.run_until_idle()
-            assert [reason for reason, _ in drops] == ["drop-queue-full"]
-            reason, location = drops[0]
-            assert location.ia == A and location.ifid > 0
-            # The sender learns it should back off...
-            assert len(scmps) == 1
-            msg = scmps[0]
-            assert msg.scmp_type is ScmpType.DESTINATION_UNREACHABLE
-            assert msg.code == CODE_QUEUE_FULL
-            assert msg.origin_ia == str(A)
-            assert msg.info == location.ifid
-            # ...but congestion is not failure: no revocation is minted.
-            assert revocation_from_scmp(msg, now=0.0) is None
-        finally:
-            net.dataplane.queue_full_scmp = False
 
     def test_queue_slots_released_after_transmit(self, fresh_diamond_network):
         net = fresh_diamond_network

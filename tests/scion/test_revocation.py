@@ -25,6 +25,7 @@ from repro.scion.scmp import (
     echo_request,
     interface_down,
     path_expired,
+    queue_full,
     unknown_path_interface,
 )
 from repro.scion.topology import TopologyError
@@ -85,6 +86,8 @@ class TestRevocationFromScmp:
     def test_non_interface_errors_yield_none(self):
         assert revocation_from_scmp(echo_request(1, 1), now=0.0) is None
         assert revocation_from_scmp(path_expired(str(A)), now=0.0) is None
+        # Congestion is not failure: a busy egress must never be revoked.
+        assert revocation_from_scmp(queue_full(str(A), 3), now=0.0) is None
         assert revocation_from_scmp(interface_down("", 3), now=0.0) is None
         assert revocation_from_scmp(interface_down(str(A), 0), now=0.0) is None
 
