@@ -26,11 +26,6 @@ one overload discipline every request-serving layer uses:
     shedding (graceful degradation: revocations and renewals keep
     flowing while bulk lookups are shed).
 
-  A guard built via :meth:`OverloadGuard.naive` has none of the
-  protections — an unbounded queue that admits everything — so the naive
-  and protected stacks of the ``overload`` experiment are one code path
-  with different knobs.
-
 * :class:`RetryBudget` — a token bucket shared per client: every fresh
   request earns ``ratio`` tokens, every retry spends one.  When the
   bucket is empty the client must *not* retry (it serves stale or fails)
@@ -202,20 +197,6 @@ class OverloadGuard:
         #: (None while at or under the target).
         self._above_target_since: Optional[float] = None
 
-    @classmethod
-    def naive(cls, service_time_s: float, name: str = "service",
-              telemetry: Optional[Telemetry] = None) -> "OverloadGuard":
-        """An unprotected queue: unbounded, no shedding, no deadlines.
-
-        Same accounting, no protection — the control arm of the
-        ``overload`` experiment's naive-vs-protected contrast.
-        """
-        return cls(
-            service_time_s, name=name, queue_capacity=None,
-            codel_target_s=None, deadline_admission=False,
-            telemetry=telemetry,
-        )
-
     # -- state inspection -------------------------------------------------------
 
     def _drain(self, now: float) -> None:
@@ -236,10 +217,10 @@ class OverloadGuard:
         """Is the guard currently past its healthy operating point?
 
         With CoDel configured: queueing delay above the target.  Without
-        (bounded-queue-only guards): the queue is at capacity.  Naive
-        guards report overload once the backlog exceeds ten service times
-        — they have no configured target, but a status page should still
-        see the queue growing.
+        (bounded-queue-only guards): the queue is at capacity.  Guards
+        with neither report overload once the backlog exceeds ten service
+        times — they have no configured target, but a status page should
+        still see the queue growing.
         """
         delay = self.queue_delay_s(now)
         if self.codel_target_s is not None:

@@ -136,7 +136,8 @@ class Daemon:
         #: Same contract as :attr:`LocalPathServer.revocation_verifier`:
         #: a predicate checking a token's signature against the revoking
         #: AS's public key.  Defaults to the network's resolver; ``None``
-        #: accepts every token (fail-open, naive-stack arm only).
+        #: accepts every token (fail-open; the crucible's
+        #: ``bug="trust-revocations"`` regression only).
         self.revocation_verifier: Optional[Callable[[Revocation], bool]] = (
             network.verify_revocation
             if revocation_verifier is _NETWORK_VERIFIER

@@ -1,32 +1,26 @@
-"""Overload experiment: metastable collapse vs. graceful degradation.
+"""Overload experiment: graceful degradation under a lookup storm.
 
 The paper's deployment lessons (Hercules/LightningFilter queueing, the
 Section 4.8 dispatcher bottleneck) are about demand exceeding capacity,
 and "SCION Five Years Later" stresses that control-plane services must
 survive *surging* load, not just faults.  This experiment subjects a real
 :class:`~repro.scion.control.path_server.LocalPathServer` to a seeded
-open-loop lookup storm (:class:`~repro.netsim.chaos.LoadSurge`) and
-contrasts two client/server stacks built from the same
-:mod:`repro.core.overload` toolkit:
+open-loop lookup storm (:class:`~repro.netsim.chaos.LoadSurge`) behind the
+full :mod:`repro.core.overload` discipline: deadline-aware admission
+(work that cannot finish inside the client's budget is rejected up
+front), CoDel-style shedding of sheddable arrivals when queueing delay
+stays above target (critical priority-0 work keeps flowing), a shared
+:class:`CircuitBreaker` that trips under sustained rejection so clients
+serve stale locally instead of hammering the server, and a
+:class:`RetryBudget` gating what few timeout-retries remain.  Explicit
+rejection is honored by *serving stale, not retrying* — the daemon's
+behaviour — so the surge produces zero retry amplification and goodput
+recovers to baseline within the first post-surge second.
 
-* **naive** — :meth:`OverloadGuard.naive`: an unbounded FIFO queue that
-  admits everything, with clients that retry timed-out lookups up to
-  three times with no retry budget.  During the surge the backlog grows
-  past the client deadline, every request is served uselessly late, and
-  the retries keep the *offered* load above capacity even after the surge
-  ends: the classic metastable failure — goodput stays depressed
-  indefinitely although the original overload is gone.
-
-* **protected** — the full discipline: deadline-aware admission (work
-  that cannot finish inside the client's budget is rejected up front),
-  CoDel-style shedding of sheddable arrivals when queueing delay stays
-  above target (critical priority-0 work keeps flowing), a shared
-  :class:`CircuitBreaker` that trips under sustained rejection so clients
-  serve stale locally instead of hammering the server, and a
-  :class:`RetryBudget` gating what few timeout-retries remain.  Explicit
-  rejection is honored by *serving stale, not retrying* — the daemon's
-  behaviour — so the surge produces zero retry amplification and goodput
-  recovers to baseline within the first post-surge second.
+The contrast — an unbounded FIFO queue with clients that retry timed-out
+lookups with no budget, which collapses metastably under the same seeded
+storm — is the reference arm in ``tests/reference_arms.py``; nothing in
+this module can build it.
 
 Lookups are cache-warm (the storm exercises queueing, not segment
 combination), so a request's modeled latency is its queueing delay plus
@@ -73,7 +67,7 @@ BASELINE_RPS = 0.5 * CAPACITY_RPS
 SURGE_MULTIPLIER = 8.0
 #: Fraction of arrivals that are critical control-plane work (priority 0).
 HIGH_PRIORITY_FRACTION = 0.05
-#: Naive clients re-issue a timed-out lookup up to this many times.
+#: Clients re-issue a timed-out lookup up to this many times, budget allowing.
 MAX_RETRIES = 3
 #: Timeout retries back off by uniform[0.5, 1.5] x this, after the deadline.
 RETRY_BASE_S = 0.050
@@ -81,23 +75,9 @@ RETRY_BASE_S = 0.050
 SWEEP_MULTIPLES: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 
-def _protected_guard(name: str, telemetry=None) -> OverloadGuard:
-    """The protected stack's admission guard (all three protections on)."""
-    return OverloadGuard(
-        SERVICE_TIME_S,
-        name=name,
-        queue_capacity=256,
-        codel_target_s=0.005,
-        codel_interval_s=0.100,
-        deadline_admission=True,
-        critical_priority=0,
-        telemetry=telemetry,
-    )
-
-
 @dataclass
 class StackOutcome:
-    """Everything one stack's storm run produced."""
+    """Everything one storm run produced."""
 
     name: str
     offered: int = 0            #: fresh arrivals (the storm's demand)
@@ -123,50 +103,38 @@ class StackOutcome:
 
 def _run_storm(
     network: ScionNetwork,
-    protected: bool,
+    surge: LoadSurge,
     duration_s: float,
-    surge_start_s: float,
-    surge_end_s: float,
-    seed: int,
-    injector: Optional[FaultInjector] = None,
     telemetry=None,
-    slo=None,
-    slo_interval_s: float = 0.25,
 ) -> StackOutcome:
-    """Drive the real path server through one storm with one stack.
+    """Drive the real path server through ``surge`` for ``duration_s``.
 
     Event-driven on simulated time: a heap of (time, seq, attempt,
     priority) client requests, seeded retry jitter, and the analytic
-    queue inside the guard supplying every latency.  The naive and
-    protected stacks differ only in the guard knobs and the client
-    discipline around refusals.
+    queue inside the guard supplying every latency.  A constant-rate
+    sweep point is a surge with no window (multiplier 1).
     """
-    name = "naive" if not protected else "protected"
+    name = "protected"
     server = network.services[A].path_server
-    if protected:
-        guard = _protected_guard(f"pathserver-{A}", telemetry=telemetry)
-    else:
-        guard = OverloadGuard.naive(
-            SERVICE_TIME_S, name=f"pathserver-{A}", telemetry=telemetry
-        )
+    guard = OverloadGuard(
+        SERVICE_TIME_S,
+        name=f"pathserver-{A}",
+        queue_capacity=256,
+        codel_target_s=0.005,
+        codel_interval_s=0.100,
+        deadline_admission=True,
+        critical_priority=0,
+        telemetry=telemetry,
+    )
     server.guard = guard
-    budget = (
-        RetryBudget(ratio=0.1, capacity=10.0, name=name, telemetry=telemetry)
-        if protected else None
+    budget = RetryBudget(
+        ratio=0.1, capacity=10.0, name=name, telemetry=telemetry
     )
-    breaker = (
-        CircuitBreaker(name=f"{name}-lookup", failure_threshold=10,
-                       reset_timeout_s=0.25, telemetry=telemetry)
-        if protected else None
+    breaker = CircuitBreaker(
+        name=f"{name}-lookup", failure_threshold=10, reset_timeout_s=0.25,
+        telemetry=telemetry,
     )
-
-    surge = LoadSurge(
-        BASELINE_RPS, surge_multiplier=SURGE_MULTIPLIER,
-        surge_start_s=surge_start_s, surge_end_s=surge_end_s,
-        high_priority_fraction=HIGH_PRIORITY_FRACTION,
-        seed=seed, injector=injector, name=f"{name}-storm",
-    )
-    rng = random.Random(seed ^ 0x5EED)
+    rng = random.Random(surge.seed ^ 0x5EED)
     out = StackOutcome(name=name, bins=[0] * int(duration_s))
 
     heap: List[Tuple[float, int, int, int]] = []
@@ -178,22 +146,13 @@ def _run_storm(
     out.offered = len(heap)
 
     admitted_latencies: List[float] = []
-    health_at = (surge_start_s + surge_end_s) / 2.0
-    # Optional SLO burn-rate engine, sampled on a fixed sim-time cadence
-    # as the request clock advances (requests pop in time order, so the
-    # sample stream is deterministic).  ``slo=None`` — the default, and
-    # the configuration of every pinned run — skips all of it.
-    next_sample_s = slo_interval_s
+    health_at = (surge.surge_start_s + surge.surge_end_s) / 2.0
 
     while heap:
         t, _, attempt, priority = heapq.heappop(heap)
-        if slo is not None:
-            while next_sample_s <= min(t, duration_s):
-                slo.sample(next_sample_s)
-                next_sample_s += slo_interval_s
         if t >= duration_s:
             continue
-        if attempt == 0 and budget is not None:
+        if attempt == 0:
             budget.on_request()
         out.attempts += 1
         deadline = t + DEADLINE_S
@@ -208,7 +167,8 @@ def _run_storm(
         # Breaker: tripped by sustained rejection; while open, non-critical
         # lookups are answered from the stale cache without touching the
         # server at all.  Critical work (priority 0) bypasses it.
-        if breaker is not None and priority > 0 and not breaker.allow(t):
+        sheddable = priority > 0
+        if sheddable and not breaker.allow(t):
             out.stale_served += 1
             continue
         try:
@@ -219,7 +179,7 @@ def _run_storm(
             # Explicit rejection: serve stale, never retry (the daemon's
             # discipline) — this is what stops the retry storm.
             out.stale_served += 1
-            if breaker is not None and priority > 0:
+            if sheddable:
                 breaker.record_failure(t)
             continue
         latency = timing.latency_s + SERVICE_TIME_S
@@ -229,18 +189,16 @@ def _run_storm(
             out.goodput += 1
             if finish < duration_s:
                 out.bins[int(finish)] += 1
-            if breaker is not None and priority > 0:
+            if sheddable:
                 breaker.record_success(t)
         else:
             # The client gave up at its deadline; the server still did the
             # work (that waste is the metastability fuel).
             out.late += 1
             out.timeouts += 1
-            if breaker is not None and priority > 0:
+            if sheddable:
                 breaker.record_failure(t)
-            if attempt < MAX_RETRIES and (
-                budget is None or budget.try_retry()
-            ):
+            if attempt < MAX_RETRIES and budget.try_retry():
                 backoff = rng.uniform(0.5, 1.5) * RETRY_BASE_S
                 heapq.heappush(
                     heap, (deadline + backoff, seq, attempt + 1, priority)
@@ -248,17 +206,10 @@ def _run_storm(
                 seq += 1
                 out.retries_sent += 1
 
-    if slo is not None:
-        # Drain the sample clock to the end of the run so burn-clear
-        # events fire once the storm subsides.
-        while next_sample_s <= duration_s:
-            slo.sample(next_sample_s)
-            next_sample_s += slo_interval_s
-
     # -- goodput analysis ------------------------------------------------------
-    pre = out.bins[: int(surge_start_s)]
+    pre = out.bins[: int(surge.surge_start_s)]
     out.baseline_rps = sum(pre) / len(pre) if pre else 0.0
-    post_start = int(math.ceil(surge_end_s))
+    post_start = int(math.ceil(surge.surge_end_s))
     post = out.bins[post_start:]
     if out.baseline_rps > 0:
         out.post_surge_fraction = (
@@ -266,7 +217,7 @@ def _run_storm(
         )
         for index in range(post_start, len(out.bins)):
             if out.bins[index] >= 0.9 * out.baseline_rps:
-                out.recovered_at_s = index - surge_end_s
+                out.recovered_at_s = index - surge.surge_end_s
                 break
     out.p99_admitted_latency_s = percentile(admitted_latencies, 0.99)
     out.shed_by_priority = dict(guard.shed_by_priority)
@@ -277,96 +228,11 @@ def _run_storm(
         "rejected_deadline": guard.stats.rejected_deadline,
         "offered": guard.stats.offered,
     }
-    if budget is not None:
-        out.budget_spent = budget.spent
-        out.budget_exhausted = budget.exhausted
-    if breaker is not None:
-        out.breaker_transitions = len(breaker.transitions)
+    out.budget_spent = budget.spent
+    out.budget_exhausted = budget.exhausted
+    out.breaker_transitions = len(breaker.transitions)
     server.guard = None
     return out
-
-
-def _sweep_point(
-    network: ScionNetwork, protected: bool, offered_multiple: float,
-    duration_s: float, seed: int,
-) -> Dict[str, float]:
-    """Goodput at one constant offered load (no surge window)."""
-    outcome = _run_constant(
-        network, protected, offered_multiple * CAPACITY_RPS, duration_s, seed
-    )
-    return outcome
-
-
-def _run_constant(
-    network: ScionNetwork, protected: bool, rate_rps: float,
-    duration_s: float, seed: int,
-) -> Dict[str, float]:
-    """One constant-rate run for the goodput-vs-offered-load curve.
-
-    Same client discipline as :func:`_run_storm`, compressed: the curve
-    only needs goodput and on-time fraction per offered rate.
-    """
-    server = network.services[A].path_server
-    if protected:
-        guard = _protected_guard(f"pathserver-{A}")
-    else:
-        guard = OverloadGuard.naive(SERVICE_TIME_S, name=f"pathserver-{A}")
-    server.guard = guard
-    budget = RetryBudget(ratio=0.1, capacity=10.0) if protected else None
-    breaker = (
-        CircuitBreaker(failure_threshold=10, reset_timeout_s=0.25)
-        if protected else None
-    )
-    surge = LoadSurge(rate_rps, surge_multiplier=1.0, seed=seed)
-    rng = random.Random(seed ^ 0x5EED)
-    heap: List[Tuple[float, int, int, int]] = []
-    seq = 0
-    for arrival in surge.arrivals(duration_s):
-        heap.append((arrival.time_s, seq, 0, arrival.priority))
-        seq += 1
-    heapq.heapify(heap)
-    offered = len(heap)
-    goodput = 0
-    while heap:
-        t, _, attempt, priority = heapq.heappop(heap)
-        if t >= duration_s:
-            continue
-        if attempt == 0 and budget is not None:
-            budget.on_request()
-        if breaker is not None and not breaker.allow(t):
-            continue
-        deadline = t + DEADLINE_S
-        try:
-            _, _, _, timing = server.segments_for(
-                B, now=t, deadline_s=deadline, priority=priority
-            )
-        except OverloadRejected:
-            if breaker is not None:
-                breaker.record_failure(t)
-            continue
-        latency = timing.latency_s + SERVICE_TIME_S
-        if latency <= DEADLINE_S:
-            goodput += 1
-            if breaker is not None:
-                breaker.record_success(t)
-        else:
-            if breaker is not None:
-                breaker.record_failure(t)
-            if attempt < MAX_RETRIES and (
-                budget is None or budget.try_retry()
-            ):
-                heapq.heappush(
-                    heap,
-                    (deadline + rng.uniform(0.5, 1.5) * RETRY_BASE_S,
-                     seq, attempt + 1, priority),
-                )
-                seq += 1
-    server.guard = None
-    return {
-        "offered_rps": rate_rps,
-        "goodput_rps": goodput / duration_s,
-        "on_time_fraction": goodput / offered if offered else 0.0,
-    }
 
 
 def _digest(payload: Dict[str, object]) -> str:
@@ -374,8 +240,21 @@ def _digest(payload: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _storm(
+    surge_start_s: float, surge_end_s: float, seed: int,
+    injector: Optional[FaultInjector] = None,
+) -> LoadSurge:
+    """The experiment's storm: baseline load with one surge window."""
+    return LoadSurge(
+        BASELINE_RPS, surge_multiplier=SURGE_MULTIPLIER,
+        surge_start_s=surge_start_s, surge_end_s=surge_end_s,
+        high_priority_fraction=HIGH_PRIORITY_FRACTION,
+        seed=seed, injector=injector, name="protected-storm",
+    )
+
+
 def run_storms(fast: bool = True, seed: int = 17) -> Dict[str, object]:
-    """Both storm runs plus the offered-load sweep; the experiment's data."""
+    """The storm run plus the offered-load sweep; the experiment's data."""
     if fast:
         duration_s, surge_start_s, surge_end_s = 18.0, 4.0, 7.0
         sweep_duration_s = 3.0
@@ -388,46 +267,40 @@ def run_storms(fast: bool = True, seed: int = 17) -> Dict[str, object]:
     # Warm the lookup cache: the storm measures queueing, not combination.
     network.services[A].path_server.segments_for(B, now=0.0)
 
-    naive = _run_storm(
-        network, protected=False, duration_s=duration_s,
-        surge_start_s=surge_start_s, surge_end_s=surge_end_s,
-        seed=seed, injector=injector,
-    )
     protected = _run_storm(
-        network, protected=True, duration_s=duration_s,
-        surge_start_s=surge_start_s, surge_end_s=surge_end_s,
-        seed=seed, injector=injector,
+        network, _storm(surge_start_s, surge_end_s, seed, injector),
+        duration_s,
     )
-    sweep = {
-        "naive": [
-            _sweep_point(network, False, m, sweep_duration_s, seed)
-            for m in SWEEP_MULTIPLES
-        ],
-        "protected": [
-            _sweep_point(network, True, m, sweep_duration_s, seed)
-            for m in SWEEP_MULTIPLES
-        ],
-    }
+    # Goodput vs constant offered load: no surge window, no critical
+    # arrivals.
+    sweep = []
+    for multiple in SWEEP_MULTIPLES:
+        rate_rps = multiple * CAPACITY_RPS
+        point = _run_storm(
+            network, LoadSurge(rate_rps, surge_multiplier=1.0, seed=seed),
+            sweep_duration_s,
+        )
+        sweep.append({
+            "offered_rps": rate_rps,
+            "goodput_rps": point.goodput / sweep_duration_s,
+            "on_time_fraction": (
+                point.goodput / point.offered if point.offered else 0.0
+            ),
+        })
     digest = _digest({
         "schema": 1,
         "seed": seed,
-        "bins": {"naive": naive.bins, "protected": protected.bins},
-        "stats": {"naive": naive.stats, "protected": protected.stats},
-        "shed_by_priority": {
-            "naive": naive.shed_by_priority,
-            "protected": protected.shed_by_priority,
-        },
+        "bins": {"protected": protected.bins},
+        "stats": {"protected": protected.stats},
+        "shed_by_priority": {"protected": protected.shed_by_priority},
         "sweep": {
-            stack: [
-                {k: round(v, 9) for k, v in point.items()}
-                for point in points
-            ]
-            for stack, points in sweep.items()
+            "protected": [
+                {k: round(v, 9) for k, v in point.items()} for point in sweep
+            ],
         },
         "fault_events": injector.event_digest(),
     })
     return {
-        "naive": naive,
         "protected": protected,
         "sweep": sweep,
         "digest": digest,
@@ -452,8 +325,7 @@ def telemetry_snapshot(seed: int = 17) -> Dict[str, object]:
     network = ScionNetwork(diamond_topology(), seed=seed, telemetry=tel)
     network.services[A].path_server.segments_for(B, now=0.0)
     outcome = _run_storm(
-        network, protected=True, duration_s=6.0,
-        surge_start_s=1.0, surge_end_s=4.0, seed=seed, telemetry=tel,
+        network, _storm(1.0, 4.0, seed), duration_s=6.0, telemetry=tel
     )
     return {
         "outcome": outcome,
@@ -464,102 +336,26 @@ def telemetry_snapshot(seed: int = 17) -> Dict[str, object]:
     }
 
 
-def slo_snapshot(seed: int = 17) -> Dict[str, object]:
-    """The naive arm under a surge, watched by an SLO burn-rate engine.
-
-    Runs the NAIVE stack (unbounded queue, retries) through the storm with
-    a live telemetry bundle and a latency SLO over the path server's
-    lookup-latency histogram (objective: 95% of lookups within the client
-    deadline).  During the surge the queue blows far past the deadline, so
-    the multi-window burn-rate engine fires at least one page-severity
-    ``slo-burn-rate`` event into the EventLog — and, because the naive
-    stack is metastable, the alert never clears even after the surge ends:
-    the pager tells the same story as the goodput plot.  Pure reader: the
-    SLO engine only samples metrics, so
-    the outcome (and the pinned ``run_storms`` digest, which never passes
-    ``slo=``) is untouched.
-    """
-    from repro.obs import Slo, SloEngine, Telemetry
-
-    tel = Telemetry()
-    network = ScionNetwork(diamond_topology(), seed=seed, telemetry=tel)
-    network.services[A].path_server.segments_for(B, now=0.0)
-    engine = SloEngine(
-        metrics=tel.metrics,
-        slos=(
-            Slo(
-                name="lookup-latency",
-                objective=0.95,
-                kind="latency",
-                metric="pathserver_lookup_latency_seconds",
-                threshold=DEADLINE_S,
-            ),
-        ),
-        events=tel.events,
-    )
-    outcome = _run_storm(
-        network, protected=False, duration_s=6.0,
-        surge_start_s=1.0, surge_end_s=4.0, seed=seed, telemetry=tel,
-        slo=engine,
-    )
-    alerts = [
-        event for event in tel.events.timeline(source="slo")
-        if event.kind == "slo-burn-rate"
-    ]
-    clears = [
-        event for event in tel.events.timeline(source="slo")
-        if event.kind == "slo-burn-clear"
-    ]
-    return {
-        "outcome": outcome,
-        "alerts": alerts,
-        "clears": clears,
-        "alert_lines": [
-            f"{event.time_s:7.2f}s {event.target}: {event.detail}"
-            for event in alerts
-        ],
-        "status": engine.status(),
-    }
-
-
 def run(fast: bool = True, seed: int = 17) -> ExperimentResult:
     data = run_storms(fast=fast, seed=seed)
-    naive: StackOutcome = data["naive"]
     protected: StackOutcome = data["protected"]
     sweep = data["sweep"]
 
     surge_start_s, surge_end_s = data["surge_window_s"]
-    surge_bins = slice(int(surge_start_s) + 1, int(surge_end_s))
-
-    def surge_goodput(outcome: StackOutcome) -> float:
-        bins = outcome.bins[surge_bins]
-        return sum(bins) / len(bins) if bins else 0.0
-
-    naive_4x = next(
-        p for p, m in zip(sweep["naive"], SWEEP_MULTIPLES) if m == 4.0
-    )
-    protected_4x = next(
-        p for p, m in zip(sweep["protected"], SWEEP_MULTIPLES) if m == 4.0
-    )
-    ratio_4x = protected_4x["goodput_rps"] / max(naive_4x["goodput_rps"], 1e-9)
-
-    recovery_note = (
-        "never (metastable)" if naive.recovered_at_s is None
-        else f"{naive.recovered_at_s:.1f}s"
-    )
-    protected_recovery = (
+    surge_bins = protected.bins[int(surge_start_s) + 1: int(surge_end_s)]
+    surge_goodput = sum(surge_bins) / len(surge_bins) if surge_bins else 0.0
+    at_4x = sweep[SWEEP_MULTIPLES.index(4.0)]
+    recovery = (
         "never" if protected.recovered_at_s is None
         else f"within {protected.recovered_at_s + 1.0:.0f}s of surge end"
     )
 
     sweep_line = "  goodput vs offered (rps): " + "  ".join(
-        f"{m:g}x:naive={n['goodput_rps']:.0f}/prot={p['goodput_rps']:.0f}"
-        for m, n, p in zip(
-            SWEEP_MULTIPLES, sweep["naive"], sweep["protected"]
-        )
+        f"{m:g}x:{p['goodput_rps']:.0f}"
+        for m, p in zip(SWEEP_MULTIPLES, sweep)
     )
     shed_line = (
-        "  protected shed by priority: "
+        "  shed by priority: "
         + (", ".join(
             f"p{prio}={count}"
             for prio, count in sorted(protected.shed_by_priority.items())
@@ -567,14 +363,18 @@ def run(fast: bool = True, seed: int = 17) -> ExperimentResult:
         + f"; stale served {protected.stale_served}"
         + f", breaker transitions {protected.breaker_transitions}"
     )
-    naive_line = (
-        f"  naive retries sent: {naive.retries_sent} "
-        f"(post-surge goodput {100 * naive.post_surge_fraction:.0f}% of "
-        f"baseline {naive.baseline_rps:.0f} rps)"
+    retry_line = (
+        f"  retries sent: {protected.retries_sent} "
+        f"(post-surge goodput {100 * protected.post_surge_fraction:.0f}% of "
+        f"baseline {protected.baseline_rps:.0f} rps)"
     )
     health_line = (
         f"  mid-surge health: {protected.health_status or 'OK'} "
         f"({', '.join(sorted(protected.overloaded_services)) or 'no guard over target'})"
+    )
+    naive_line = (
+        "  naive reference arm (unbounded queue, unbudgeted retries, same "
+        "storm): tests/experiments/test_overload_experiment.py"
     )
     digest_line = f"  digest {data['digest']} (seed {seed})"
 
@@ -584,28 +384,29 @@ def run(fast: bool = True, seed: int = 17) -> ExperimentResult:
             Comparison(
                 "goodput @ 4x capacity offered",
                 "graceful degradation, not collapse",
-                f"protected {protected_4x['goodput_rps']:.0f} rps vs naive "
-                f"{naive_4x['goodput_rps']:.0f} rps ({ratio_4x:.0f}x)",
+                f"{at_4x['goodput_rps']:.0f} rps of "
+                f"{CAPACITY_RPS:.0f} rps capacity",
             ),
             Comparison(
                 "surge-window goodput",
                 "shed bulk, keep critical flowing",
-                f"protected {surge_goodput(protected):.0f} rps vs naive "
-                f"{surge_goodput(naive):.0f} rps",
+                f"{surge_goodput:.0f} rps "
+                f"(baseline {protected.baseline_rps:.0f} rps)",
             ),
             Comparison(
                 "post-surge recovery",
-                "flat recovery vs metastable collapse",
-                f"protected {protected_recovery}, naive {recovery_note}",
+                "flat recovery, no metastable collapse",
+                recovery,
             ),
             Comparison(
                 "p99 admitted latency",
                 "admitted work finishes inside its deadline",
-                f"protected {1000 * protected.p99_admitted_latency_s:.0f} ms "
-                f"vs naive {naive.p99_admitted_latency_s:.1f} s",
+                f"{1000 * protected.p99_admitted_latency_s:.0f} ms "
+                f"(deadline {1000 * DEADLINE_S:.0f} ms)",
             ),
         ],
-        details="\n".join(
-            [sweep_line, shed_line, naive_line, health_line, digest_line]
-        ),
+        details="\n".join([
+            sweep_line, shed_line, retry_line, health_line, naive_line,
+            digest_line,
+        ]),
     )

@@ -66,7 +66,7 @@ EXPERIMENTS: Dict[str, Tuple[str, str]] = {
     "crucible": ("repro.experiments.crucible",
                  "Deterministic simulation testing (fuzzed fault schedules)"),
     "adversary": ("repro.experiments.adversary",
-                  "Byzantine red-team campaign (hardened vs naive stack)"),
+                  "Byzantine red-team campaign against the hardened stack"),
     "obs_slice": ("repro.experiments.obs_slice",
                   "Profiled chaos slice (flight recorder + profiler + SLOs)"),
 }

@@ -492,18 +492,10 @@ class ByzantineAdversary:
     ) -> AttackOutcome:
         """Request flood against an admission-controlled service.
 
-        ``guard`` is the service's :class:`~repro.core.overload.OverloadGuard`
-        (``None`` models the naive, unguarded service).  Success means the
-        flood was absorbed without shedding — the attacker monopolises
-        capacity and honest traffic pays.
+        ``guard`` is the service's :class:`~repro.core.overload.OverloadGuard`.
+        Success means the flood was absorbed without shedding — the
+        attacker monopolises capacity and honest traffic pays.
         """
-        if guard is None:
-            return self._record(
-                now, "flood-guard", target,
-                succeeded=True, detected=False,
-                detail=f"{requests}/{requests} flood requests admitted "
-                       "(no admission control)",
-            )
         shed_before = sum(guard.shed_by_priority.values())
         admitted = 0
         for index in range(requests):

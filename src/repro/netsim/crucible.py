@@ -49,7 +49,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.overload import CircuitBreaker, OverloadGuard, OverloadRejected
 from repro.core.supervisor import Supervisor
@@ -346,6 +346,32 @@ def _workload_pairs(topology: GlobalTopology, limit: int = 3) -> List[Tuple[IA, 
     return pairs[:limit]
 
 
+def measure_goodput(
+    network: ScionNetwork, pairs: Sequence[Tuple[IA, IA]], now: float
+) -> float:
+    """Fraction of ``pairs`` with a working, deliverable path at ``now``.
+
+    Goodput is a *data-plane* property: the lookup goes through
+    admission at critical priority, and if the guard still refuses
+    (queue full under a request flood) we fall back to an
+    admission-free registry view — honest endpoints that already hold
+    paths keep transferring while the control plane sheds load.
+    Control-plane DoS pressure is accounted by the overload
+    invariants, not this measurement.
+    """
+    ok = 0
+    for src, dst in pairs:
+        try:
+            metas = network.paths(src, dst, refresh=True, now=now, priority=0)
+        except OverloadRejected:
+            metas = network.paths(src, dst, refresh=True)
+        for meta in metas:
+            if network.dataplane.probe(meta.path, now).success:
+                ok += 1
+                break
+    return ok / len(pairs)
+
+
 # -- the world ---------------------------------------------------------------------
 
 
@@ -515,29 +541,8 @@ class CrucibleWorld:
     # -- workload ----------------------------------------------------------------
 
     def measure_goodput(self, now: float) -> float:
-        """Fraction of workload pairs with a working path right now.
-
-        Goodput is a *data-plane* property: the lookup goes through
-        admission at critical priority, and if the guard still refuses
-        (queue full under a request flood) we fall back to an
-        admission-free registry view — honest endpoints that already hold
-        paths keep transferring while the control plane sheds load.
-        Control-plane DoS pressure is accounted by the overload
-        invariants, not this measurement.
-        """
-        ok = 0
-        for src, dst in self.workload_pairs:
-            try:
-                metas = self.network.paths(
-                    src, dst, refresh=True, now=now, priority=0
-                )
-            except OverloadRejected:
-                metas = self.network.paths(src, dst, refresh=True)
-            for meta in metas:
-                if self.network.dataplane.probe(meta.path, now).success:
-                    ok += 1
-                    break
-        return ok / len(self.workload_pairs)
+        """Fraction of workload pairs with a working path right now."""
+        return measure_goodput(self.network, self.workload_pairs, now)
 
     def tick(self, checker: InvariantChecker, now: float) -> None:
         """One workload round: lookups, probes, SCMP feedback, breaker

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.endhost.pan import PanContext, ScionSocket, SendResult
 from repro.endhost.policy import PathPolicy, policy_from_commandline
-from repro.scion.addr import HostAddr
+from repro.scion.addr import AddrError, HostAddr
 
 
 class AppError(Exception):
@@ -172,7 +172,7 @@ class Bat:
         authority = rest.split("/", 1)[0]
         try:
             return HostAddr.parse(authority)
-        except Exception as exc:
+        except AddrError as exc:
             raise AppError(f"bad SCION authority {authority!r}: {exc}") from exc
 
     @staticmethod

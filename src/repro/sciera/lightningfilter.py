@@ -61,10 +61,6 @@ class LightningFilter:
         self.burst = burst
         self.stats = FilterStats()
         self._buckets: Dict[str, _Bucket] = {}
-        #: Fail-open escape hatch for the red-team experiment's naive arm:
-        #: with authentication off, any spoofed-source packet passes the
-        #: crypto gate.  Never disable outside that contrast.
-        self.verify_auth = True
         tel = resolve(telemetry)
         self._telemetry = tel
         labels = {"as": str(local_ia)}
@@ -115,7 +111,7 @@ class LightningFilter:
         size_bytes: Optional[int] = None,
     ) -> bool:
         """Filter one packet; returns True if it is forwarded onward."""
-        if self.verify_auth and not self.verify(src_ia, payload, tag, now_s):
+        if not self.verify(src_ia, payload, tag, now_s):
             self.stats.rejected_auth += 1
             self._security_rejected_auth.inc()
             self._alert_once(src_ia, "auth", now_s)

@@ -169,9 +169,10 @@ class HostAddr:
     def parse(cls, text: str) -> "HostAddr":
         try:
             ia_part, host_part = text.split(",", 1)
-            host, port = host_part.rsplit(":", 1)
+            host, port_part = host_part.rsplit(":", 1)
+            port = int(port_part)
         except ValueError:
             raise AddrError(
                 f"invalid host address {text!r} (want 'ISD-AS,host:port')"
             ) from None
-        return cls(IA.parse(ia_part), host, int(port))
+        return cls(IA.parse(ia_part), host, port)

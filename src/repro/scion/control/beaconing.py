@@ -208,7 +208,7 @@ class BeaconingEngine:
         k_propagate: int = 6,
         store_capacity: int = 48,
         verify_beacons: bool = True,
-        max_beacon_age_s: Optional[float] = MAX_BEACON_AGE_S,
+        max_beacon_age_s: float = MAX_BEACON_AGE_S,
         telemetry: Optional[Telemetry] = None,
     ):
         self.topology = topology
@@ -218,8 +218,7 @@ class BeaconingEngine:
         self.timestamp = timestamp
         self.k_propagate = k_propagate
         self.verify_beacons = verify_beacons
-        #: Freshness bound on received beacons; ``None`` disables the
-        #: check (the red-team experiment's naive arm).  Independent of
+        #: Freshness bound on received beacons.  Independent of
         #: ``verify_beacons``: staleness needs no crypto to detect.
         self.max_beacon_age_s = max_beacon_age_s
         self.stats = BeaconingStats()
@@ -317,10 +316,7 @@ class BeaconingEngine:
         if receiver in beacon.as_sequence():
             self.stats.beacons_rejected_loop += 1
             return False
-        if (
-            self.max_beacon_age_s is not None
-            and self.timestamp - beacon.timestamp > self.max_beacon_age_s
-        ):
+        if self.timestamp - beacon.timestamp > self.max_beacon_age_s:
             # Replayed stale PCB: valid-looking (possibly even correctly
             # signed) but minted far in the past.  Accepting it would let
             # an attacker resurrect withdrawn topology.

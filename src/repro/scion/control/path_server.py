@@ -419,9 +419,9 @@ class LocalPathServer:
         #: are rejected — anyone can *claim* an interface died; only the AS
         #: that owns it can say so authoritatively.
         self.revocation_verifier = revocation_verifier
-        #: Fail-open escape hatch for the red-team experiment's naive arm:
-        #: with freshness checking off, a replayed token past its TTL is
-        #: ingested like a live one.  Never disable outside that contrast.
+        #: With freshness checking off, a replayed token past its TTL is
+        #: ingested like a live one.  Held open only for the crucible's
+        #: ``bug="trust-revocations"`` regression; never disable otherwise.
         self.check_revocation_freshness = True
         #: Called with every accepted revocation — the supervisor hangs its
         #: replay ledger here.

@@ -160,11 +160,6 @@ class BorderRouter:
             "Adversarial packets (tampered or forged hop fields) dropped.",
             labels=labels,
         )
-        #: Fail-open escape hatch for the red-team experiment's naive arm:
-        #: a "verification-off" router skips hop-field MAC verification and
-        #: the hop-lifetime bound entirely.  Never disable outside that
-        #: contrast — the hardened default is what the invariants assume.
-        self.verify_macs = True
         self._queue_depth: Dict[int, int] = {}
         #: egress ifid -> sim time the down-mark lapses (inf: operator mark)
         self._down_interfaces: Dict[int, float] = {}
@@ -195,11 +190,10 @@ class BorderRouter:
             )
         if hop.expiry < now:
             return self._drop_decision(Verdict.DROP_EXPIRED)
-        if self.verify_macs:
-            if hop.expiry > record.info.timestamp + MAX_HOP_LIFETIME_S:
-                return self._drop_decision(Verdict.DROP_INFLATED_HOP)
-            if not hop.verify(self._key, record.info.timestamp):
-                return self._drop_decision(Verdict.DROP_BAD_MAC)
+        if hop.expiry > record.info.timestamp + MAX_HOP_LIFETIME_S:
+            return self._drop_decision(Verdict.DROP_INFLATED_HOP)
+        if not hop.verify(self._key, record.info.timestamp):
+            return self._drop_decision(Verdict.DROP_BAD_MAC)
         ingress, egress = record.oriented()
         if (
             arrival_ifid is not None

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.scion.addr import IA
+from repro.scion.addr import IA, AddrError
 from repro.scion.crypto.encoding import canonical_bytes
 from repro.scion.crypto.rsa import RsaKeyPair, RsaPublicKey, sign, verify
 from repro.scion.scmp import CODE_UNKNOWN_PATH_INTERFACE, ScmpMessage, ScmpType
@@ -113,7 +113,7 @@ def revocation_from_scmp(
         return None
     try:
         origin = IA.parse(message.origin_ia)
-    except Exception as exc:  # malformed origin: no revocation
+    except AddrError as exc:  # malformed origin: no revocation
         raise RevocationError(
             f"SCMP origin {message.origin_ia!r} is not an ISD-AS"
         ) from exc

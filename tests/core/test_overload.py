@@ -101,7 +101,10 @@ class TestOverloadGuard:
         assert guard.offer(0.5).admitted
 
     def test_naive_guard_admits_everything(self):
-        guard = OverloadGuard.naive(0.01)
+        guard = OverloadGuard(
+            0.01, queue_capacity=None, codel_target_s=None,
+            deadline_admission=False,
+        )
         verdicts = {guard.offer(0.0).verdict for _ in range(500)}
         assert verdicts == {AdmissionVerdict.ADMITTED}
         assert guard.stats.admitted == 500
@@ -124,7 +127,10 @@ class TestOverloadGuard:
         assert not guard.overloaded(0.02)  # drained
 
     def test_naive_guard_reports_overload_past_ten_service_times(self):
-        guard = OverloadGuard.naive(0.01)
+        guard = OverloadGuard(
+            0.01, queue_capacity=None, codel_target_s=None,
+            deadline_admission=False,
+        )
         for _ in range(11):
             guard.offer(0.0)
         assert guard.overloaded(0.0)

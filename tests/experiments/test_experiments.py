@@ -18,9 +18,9 @@ PINNED = {
     "chaos": "95322cac0a57ee87",
     "revocation_storm": "65f9f6171a7d3908",
     "control_chaos": "85b8d4abfa48aae7",
-    "overload": "96c5583bc2f01742",
+    "overload": "1a19522d85dd2926",
     "crucible": "494295be320d8d9d",
-    "adversary": "a595e93959d5cd9c",
+    "adversary": "2dbad14699e0e609",
     "obs_slice": "532ab1b819da6668",
 }
 

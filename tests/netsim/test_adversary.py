@@ -1,7 +1,8 @@
 """The Byzantine adversary vs the hardened stack: every attack must fail
 closed AND be detected (attributed in security counters and the event
-timeline), and the same attack must succeed once the corresponding
-verification gate is opened — proof the gate is what stops it.
+timeline), and the same attack must succeed once the verification gates
+are patched open (``tests/reference_arms.gates_open``; the shipped classes
+have no switch for it) — proof the gate is what stops it.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.obs import Telemetry
 from repro.scion.crypto.keys import SymmetricKey
 from repro.scion.network import ScionNetwork
 from repro.sciera.lightningfilter import LightningFilter
+from tests.reference_arms import gates_open, unbounded_guard
 
 
 @pytest.fixture
@@ -64,10 +66,10 @@ class TestBeaconAttacks:
 
     def test_forgery_succeeds_with_verification_off(self, world):
         network, adversary, _ = world
-        network.beaconing.verify_beacons = False
-        outcome = adversary.forge_beacon(
-            _leaves(network)[0], float(network.timestamp)
-        )
+        with gates_open(network):
+            outcome = adversary.forge_beacon(
+                _leaves(network)[0], float(network.timestamp)
+            )
         assert outcome.succeeded
 
 
@@ -96,13 +98,11 @@ class TestRevocationAttacks:
 
     def test_forgery_succeeds_against_trusting_server(self, world):
         network, adversary, _ = world
-        for service in network.services.values():
-            service.path_server.revocation_verifier = None
-            service.path_server.check_revocation_freshness = False
         core, ifid = _core_interface(network)
-        outcome = adversary.forge_revocation(
-            core, ifid, float(network.timestamp)
-        )
+        with gates_open(network):
+            outcome = adversary.forge_revocation(
+                core, ifid, float(network.timestamp)
+            )
         assert outcome.succeeded
         assert network.registry.active_revocations()
 
@@ -129,13 +129,16 @@ class TestDataplaneTampering:
 
     def test_tamper_succeeds_without_mac_verification(self, world):
         network, adversary, _ = world
-        for router in network.dataplane.routers.values():
-            router.verify_macs = False
         src, dst = _leaves(network)[0], _leaves(network)[-1]
-        outcome = adversary.tamper_packet(
-            src, dst, float(network.timestamp), mode="mac"
-        )
-        assert outcome.succeeded
+        now = float(network.timestamp)
+        for mode in ("mac", "inflate"):
+            with gates_open(network):
+                outcome = adversary.tamper_packet(src, dst, now, mode=mode)
+            assert outcome.succeeded, mode
+            # ... and the check is back the moment the block ends.
+            assert not adversary.tamper_packet(
+                src, dst, now, mode=mode
+            ).succeeded, mode
 
 
 class TestFilterAndFloodAttacks:
@@ -166,8 +169,8 @@ class TestFilterAndFloodAttacks:
     def test_flood_succeeds_with_auth_off(self, world):
         network, adversary, telemetry = world
         lf = self._filter(network, telemetry)
-        lf.verify_auth = False
-        outcome = adversary.flood_filter(lf, float(network.timestamp))
+        with gates_open(network):
+            outcome = adversary.flood_filter(lf, float(network.timestamp))
         assert outcome.succeeded
 
     def test_guard_sheds_flood_but_spares_critical(self, world):
@@ -187,9 +190,11 @@ class TestFilterAndFloodAttacks:
         assert guard.offer(now + 2.0, priority=0).admitted
 
     def test_no_guard_means_flood_succeeds(self, world):
+        """No admission control worth the name: an unbounded guard."""
         network, adversary, _ = world
         outcome = adversary.flood_guard(
-            None, float(network.timestamp), target="ps:naive"
+            unbounded_guard(0.002), float(network.timestamp),
+            target="ps:naive",
         )
         assert outcome.succeeded
         assert not outcome.detected

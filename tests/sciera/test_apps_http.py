@@ -73,8 +73,10 @@ class TestBatUrlParsing:
             Bat._parse_url("https://example.com/")
 
     def test_bad_authority_rejected(self):
-        with pytest.raises(AppError, match="bad SCION authority"):
-            Bat._parse_url("scion://banana/")
+        for url in ("scion://banana/", "scion://71-200,10.2.0.1:http/",
+                    "scion://7x-200,10.2.0.1:80/"):
+            with pytest.raises(AppError, match="bad SCION authority"):
+                Bat._parse_url(url)
 
 
 class TestAppsEndToEnd:
