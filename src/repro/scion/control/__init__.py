@@ -9,7 +9,11 @@ from repro.scion.control.segments import (
 )
 from repro.scion.control.beaconing import BeaconingEngine, BeaconStore
 from repro.scion.control.path_server import SegmentRegistry, LocalPathServer
-from repro.scion.control.combinator import combine_paths, CombinatorError
+from repro.scion.control.combinator import (
+    CombinatorError,
+    CoreHalf,
+    combine_paths,
+)
 
 __all__ = [
     "ASEntry",
@@ -23,4 +27,5 @@ __all__ = [
     "LocalPathServer",
     "combine_paths",
     "CombinatorError",
+    "CoreHalf",
 ]

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.obs import Telemetry, resolve
 from repro.scion.addr import IA
 from repro.scion.control.beaconing import BeaconingEngine
-from repro.scion.control.combinator import combine_paths
+from repro.scion.control.combinator import CoreHalf, combine_paths
 from repro.scion.control.path_server import LocalPathServer, SegmentRegistry
 from repro.scion.control.segments import Beacon, BeaconError
 from repro.scion.control.service import ControlService, TrustStore
@@ -128,6 +128,8 @@ class ScionNetwork:
         # 3-4. Beaconing and registration.
         self._path_cache: Dict[Tuple[IA, IA], Tuple[PathMeta, ...]] = {}
         self._path_cache_version = self.registry.version
+        #: src -> (up segments, core segments, the CoreHalf built from them)
+        self._core_halves: Dict[IA, Tuple[tuple, tuple, CoreHalf]] = {}
         self.beaconing: Optional[BeaconingEngine] = None
         if run_beaconing:
             self.run_beaconing(
@@ -340,7 +342,7 @@ class ScionNetwork:
         self.registry.clear()
         for service in self.services.values():
             service.path_server.clear()
-        self._path_cache.clear()
+        self.flush_path_cache()
         for revocation in revocations:
             self.registry.revoke(revocation)
         self._register_segments(engine, now=verify_now)
@@ -414,15 +416,21 @@ class ScionNetwork:
             ups, cores, downs, _ = self.services[src].path_server.segments_for(
                 dst, now=now, deadline_s=deadline_s, priority=priority
             )
+            # The path server answers every destination with the same up
+            # and core segments until its state moves, so one half serves
+            # them all; the comparison is a pointer scan while it holds.
+            held = self._core_halves.get(src)
+            if held is None or held[0] != ups or held[1] != cores:
+                held = self._core_halves[src] = (ups, cores, CoreHalf(
+                    src, () if src_topo.is_core else ups, cores,
+                    src_is_core=src_topo.is_core,
+                ))
             with self.telemetry.tracer.span(
                 "combinator.combine", src=str(src), dst=str(dst)
             ) as span:
                 raw = combine_paths(
-                    src, dst,
-                    up_segments=[] if src_topo.is_core else ups,
-                    core_segments=cores,
-                    down_segments=[] if dst_topo.is_core else downs,
-                    src_is_core=src_topo.is_core,
+                    held[2], dst,
+                    down_segments=() if dst_topo.is_core else downs,
                     dst_is_core=dst_topo.is_core,
                 )
                 span.attrs["paths"] = str(len(raw))
@@ -530,7 +538,7 @@ class ScionNetwork:
     def _reset_control_plane(self) -> None:
         """Drop registered segments and caches before re-beaconing."""
         self.registry = SegmentRegistry(telemetry=self.telemetry)
-        self._path_cache.clear()
+        self.flush_path_cache()
         self._path_cache_version = self.registry.version
         for service in self.services.values():
             service.path_server = LocalPathServer(
@@ -574,8 +582,10 @@ class ScionNetwork:
         return revocation
 
     def flush_path_cache(self) -> None:
-        """Drop memoized path combinations (control-plane state changed)."""
+        """Drop memoized path combinations and core halves (control-plane
+        state changed)."""
         self._path_cache.clear()
+        self._core_halves.clear()
 
     def reset_stats(self) -> None:
         """Zero every cumulative stats counter: an explicit epoch boundary.

@@ -18,7 +18,9 @@ affecting equality or hashing, which remain field-based).  The per-hop work
 (forwarding order, oriented :class:`HopRecord`s, interface ids, AS sequence)
 is memoised on the :class:`PathSegmentHops`; the combinator hands the *same*
 segment object to every path crossing it, so a :class:`DataplanePath`'s
-plan, interface ids and AS sequence are concatenations of shared fragments.
+plan, interface ids and AS sequence are concatenations of shared fragments,
+and its hop count and fingerprint (:func:`path_key`) are assembled from
+them — before the path is built, when the combinator ranks candidates.
 Interface-id strings are ``sys.intern``-ed: measurement campaigns compare
 millions of them for disjointness and set membership, and interning turns
 those comparisons into pointer checks.
@@ -174,6 +176,54 @@ class PathSegmentHops:
     def as_sequence(self) -> Tuple[IA, ...]:
         return _dedup_adjacent(hop.ia for hop in self.forwarding_hops())
 
+    @_memoised
+    def key_part(self) -> Tuple[int, Optional[IA], Optional[IA], bytes]:
+        """This segment's share of :func:`path_key`: AS count, first and
+        last AS, and ``interface_ids()`` joined by ``|``."""
+        seq = self.as_sequence()
+        return (
+            len(seq), seq[0] if seq else None, seq[-1] if seq else None,
+            "|".join(self.interface_ids()).encode(),
+        )
+
+
+#: What :func:`path_key` knows after some leading segments: AS hops so far,
+#: the last AS, and the interface-id bytes so far.
+KeyHead = Tuple[int, Optional[IA], bytes]
+EMPTY_HEAD: KeyHead = (0, None, b"")
+
+
+def key_head(
+    segments: Sequence[PathSegmentHops], head: KeyHead = EMPTY_HEAD
+) -> KeyHead:
+    """``head`` extended by ``segments``.  Each segment's AS sequence is
+    already de-duplicated, so only a joint whose two sides name the same AS
+    drops one; the fingerprint bytes are the interface ids of all segments
+    joined by ``|``, which is the non-empty fragments joined by ``|``."""
+    hops, last, joined = head
+    for seg in segments:
+        count, first, final, part = seg.key_part()
+        if count:
+            hops += count - (first == last)
+            last = final
+        if part:
+            joined = joined + b"|" + part if joined else part
+    return hops, last, joined
+
+
+def path_key(
+    segments: Sequence[PathSegmentHops], head: KeyHead = EMPTY_HEAD
+) -> Tuple[int, str]:
+    """``(num_as_hops(), fingerprint())`` of the path ``segments`` form
+    after the segments ``head`` summarises.
+
+    Assembled from per-segment fragments, so the combinator can rank and
+    de-duplicate candidates without building them, and can summarise a
+    shared front part once.
+    """
+    hops, _, joined = key_head(segments, head)
+    return hops, hashlib.sha256(joined).hexdigest()[:16]
+
 
 @dataclass(frozen=True)
 class DataplanePath:
@@ -239,14 +289,29 @@ class DataplanePath:
             seg.interface_ids() for seg in self.segments
         ))
 
+    @classmethod
+    def keyed(
+        cls, segments: Tuple[PathSegmentHops, ...], key: Tuple[int, str]
+    ) -> "DataplanePath":
+        """The path of ``segments`` with :meth:`sort_key` already known — the
+        combinator ranks candidates by ``path_key`` before building any, and
+        ``key`` must be ``path_key(segments)``."""
+        path = cls(segments)
+        path.__dict__["_sort_key"] = key
+        return path
+
+    @_memoised
+    def sort_key(self) -> Tuple[int, str]:
+        """``(num_as_hops(), fingerprint())``, from the segment fragments."""
+        return path_key(self.segments)
+
     @_memoised
     def fingerprint(self) -> str:
         """Stable short identifier for this path (by interfaces traversed)."""
-        raw = "|".join(self.interface_ids()).encode()
-        return hashlib.sha256(raw).hexdigest()[:16]
+        return self.sort_key()[1]
 
     def num_as_hops(self) -> int:
-        return len(self._as_sequence())
+        return self.sort_key()[0]
 
     def min_expiry(self) -> int:
         return min(hop.expiry for hop, _ in self.hops())

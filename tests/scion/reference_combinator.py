@@ -10,6 +10,7 @@ against it, fingerprint for fingerprint and in the same order.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.scion.addr import IA
@@ -21,6 +22,13 @@ from repro.scion.path import (
     InfoField,
     PathSegmentHops,
 )
+
+
+def fingerprint(path: DataplanePath) -> str:
+    """A path's fingerprint from its whole interface-id list, the way
+    ``DataplanePath.fingerprint`` computed it before ``path_key``."""
+    raw = "|".join(path.interface_ids()).encode()
+    return hashlib.sha256(raw).hexdigest()[:16]
 
 
 def _seg_hops(beacon: Beacon, cons_dir: bool,
@@ -135,7 +143,7 @@ def combine_paths(
         if not segments:
             return
         path = DataplanePath(segments)
-        paths.setdefault(path.fingerprint(), path)
+        paths.setdefault(fingerprint(path), path)
 
     # Pseudo-segments for core endpoints: a core src acts as its own C_up.
     up_options: List[Tuple[IA, Optional[Beacon]]] = (
@@ -191,7 +199,7 @@ def combine_paths(
                         ))
 
     ordered = sorted(
-        paths.values(), key=lambda p: (p.num_as_hops(), p.fingerprint())
+        paths.values(), key=lambda p: (len(p.as_sequence()), fingerprint(p))
     )
     if max_paths is not None:
         ordered = ordered[:max_paths]

@@ -1,8 +1,10 @@
 """Differential tests: the memoising combinator vs. the slow reference.
 
 ``combine_paths`` composes paths from per-segment views memoised on frozen
-beacons and segments, builds only the core joints a lookup asks for, and
-is fed by the registry's origin/terminal index.  ``reference_combinator``
+beacons and segments, completes a destination-independent ``CoreHalf``
+that one source reuses for every destination, ranks and de-duplicates
+candidates by a key assembled from segment fragments before building them,
+and is fed by the registry's origin/terminal index.  ``reference_combinator``
 is the combinator as it stood before any of that.  Both must return *equal
 paths in the same order* — path order out of ``ScionNetwork.paths()`` is
 part of every pinned seeded digest — on the SCIERA (Figure 1) world, on
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sciera import build_sciera
-from repro.scion.control.combinator import combine_paths
+from repro.scion.control.combinator import CoreHalf, combine_paths
 from repro.scion.control.segments import ASEntry, Beacon
 from repro.scion.network import ScionNetwork
 from repro.scion.path import DataplanePath, HopField, InfoField, PathSegmentHops
@@ -51,11 +53,24 @@ def _network(kind: str, seed: int = 0) -> ScionNetwork:
     return _NETWORKS[key]
 
 
-def _combine_both(net, src, dst, now=None, **options):
+def _half(net, src, now=None):
+    """A fresh core half from what ``src``'s path server answers now."""
+    ups, cores, _, _ = net.services[src].path_server.segments_for(src, now=now)
+    src_core = net.topology.get(src).is_core
+    return CoreHalf(src, [] if src_core else ups, cores, src_is_core=src_core)
+
+
+def _combine_both(net, src, dst, now=None, half=None, **options):
     ups, cores, downs, _ = net.services[src].path_server.segments_for(dst, now=now)
     src_core = net.topology.get(src).is_core
     dst_core = net.topology.get(dst).is_core
-    kwargs = dict(
+    if half is None:
+        half = CoreHalf(src, [] if src_core else ups, cores, src_is_core=src_core)
+    new = combine_paths(
+        half, dst, [] if dst_core else downs, dst_is_core=dst_core, **options
+    )
+    ref = reference_combinator.combine_paths(
+        src, dst,
         up_segments=[] if src_core else ups,
         core_segments=cores,
         down_segments=[] if dst_core else downs,
@@ -63,15 +78,15 @@ def _combine_both(net, src, dst, now=None, **options):
         dst_is_core=dst_core,
         **options,
     )
-    return (
-        combine_paths(src, dst, **kwargs),
-        reference_combinator.combine_paths(src, dst, **kwargs),
-    )
+    return new, ref
 
 
-def _assert_same(net, src, dst, now=None, **options):
-    new, ref = _combine_both(net, src, dst, now=now, **options)
-    assert [p.fingerprint() for p in new] == [p.fingerprint() for p in ref]
+def _assert_same(net, src, dst, now=None, half=None, **options):
+    new, ref = _combine_both(net, src, dst, now=now, half=half, **options)
+    assert [p.fingerprint() for p in new] == [
+        reference_combinator.fingerprint(p) for p in ref
+    ]
+    assert [p.num_as_hops() for p in new] == [len(p.as_sequence()) for p in ref]
     # Field equality: the same hop fields survived de-duplication, too.
     assert new == ref
     return new
@@ -119,12 +134,53 @@ class TestSameAsReference:
         if max_paths is not None:
             assert len(new) <= max_paths
 
+    @pytest.mark.parametrize("kind", ["sciera", "peering", "shortcut", "16"])
+    def test_one_half_serves_every_destination_of_a_source(self, kind):
+        """The core half is destination-independent: one half per source,
+        reused for every destination in turn (so its runs are built by
+        earlier destinations), gives the reference's answer each time."""
+        net = _network(kind, seed=3 if kind == "16" else 0)
+        for src in sorted(net.topology.ases):
+            half = _half(net, src)
+            for dst in sorted(net.topology.ases, reverse=True):
+                for include_peering in (True, False):
+                    _assert_same(net, src, dst, half=half,
+                                 include_peering=include_peering)
+                _assert_same(net, src, dst, half=half, max_paths=2)
+
+    def test_network_halves_follow_the_path_server_state(self):
+        """``paths()`` keeps one half per source while the path server's
+        up and core answer stands, and builds a new one when it moves."""
+        net = _network("16", seed=4)  # this test's own: it leaves a revocation
+        now = float(net.timestamp)
+        pairs = net.all_as_pairs()
+        net.flush_path_cache()
+        halves = {}
+        for src, dst in pairs:
+            _, ref = _combine_both(net, src, dst)
+            assert [m.path for m in net.paths(src, dst)] == ref
+            half = net._core_halves[src][2]
+            assert halves.setdefault(src, half) is half
+        core = net.topology.core_ases()[0]
+        ifid = min(net.topology.get(core).interfaces)
+        revocation = Revocation(
+            ia=core, ifid=ifid, issued_at=now, ttl_s=5.0
+        ).signed_by(net.signing_keys[core])
+        assert net.services[core].path_server.revoke(revocation, now=now) > 0
+        for src, dst in pairs:
+            _, ref = _combine_both(net, src, dst, now=now + 1.0)
+            assert [m.path for m in net.paths(src, dst, now=now + 1.0)] == ref
+        assert any(net._core_halves[src][2] is not half
+                   for src, half in halves.items())
+        net.flush_path_cache()
+        assert not net._core_halves
+
     def test_paths_memo_matches_the_reference(self):
         """Cold, then memoised, ``ScionNetwork.paths()`` — same answer."""
         net = _network("sciera")
         for src, dst in net.all_as_pairs()[::9]:
             _, ref = _combine_both(net, src, dst)
-            want = [p.fingerprint() for p in ref]
+            want = [reference_combinator.fingerprint(p) for p in ref]
             net.flush_path_cache()
             assert [m.fingerprint for m in net.paths(src, dst)] == want
             assert [m.fingerprint for m in net.paths(src, dst)] == want
@@ -184,7 +240,7 @@ def _fresh_path(path: DataplanePath) -> DataplanePath:
 
 _PATH_VIEWS = (
     "forwarding_plan", "interface_ids", "fingerprint", "as_sequence", "hops",
-    "num_as_hops", "min_expiry",
+    "num_as_hops", "min_expiry", "sort_key",
 )
 
 
@@ -208,6 +264,10 @@ class TestMemoisedEqualsFresh:
             assert (path.src_ia, path.dst_ia) == (fresh.src_ia, fresh.dst_ia)
             for view in _PATH_VIEWS:
                 assert getattr(path, view)() == getattr(fresh, view)()
+            # The fragment-built key against the whole-path definitions.
+            assert fresh.sort_key() == (
+                len(fresh.as_sequence()), reference_combinator.fingerprint(fresh)
+            )
             for index, (seg, fresh_seg) in enumerate(
                 zip(path.segments, fresh.segments)
             ):

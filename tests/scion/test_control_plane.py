@@ -10,7 +10,11 @@ import dataclasses
 import pytest
 
 from repro.scion.addr import IA
-from repro.scion.control.combinator import CombinatorError, combine_paths
+from repro.scion.control.combinator import (
+    CombinatorError,
+    CoreHalf,
+    combine_paths,
+)
 from repro.scion.control.segments import Beacon, BeaconError
 from repro.scion.crypto.rsa import RsaKeyPair
 from tests.conftest import (
@@ -151,7 +155,10 @@ class TestPathLookupAndCombination:
     def test_combinator_rejects_foreign_segments(self, diamond_network):
         ups = diamond_network.services[A].path_server.up_segments
         with pytest.raises(CombinatorError):
-            combine_paths(B, A, ups, [], [])
+            CoreHalf(B, ups, [])
+        downs = diamond_network.registry.down_segments(B)
+        with pytest.raises(CombinatorError):
+            combine_paths(CoreHalf(A, ups, []), C1, downs)
 
 
 class TestShortcut:
