@@ -46,6 +46,8 @@ from repro.scion.path import (
 
 #: Segment views in forwarding order: a path, or the front part of one.
 Segments = Tuple[PathSegmentHops, ...]
+#: A front part of paths and its ``key_head``.
+Run = Tuple[Segments, KeyHead]
 
 
 class CombinatorError(Exception):
@@ -143,9 +145,9 @@ class CoreHalf:
             forward.append((seg, True))
             backward.append((seg, False))
         self._core_by_joint = by_joint
-        self._runs: Dict[Tuple[int, IA], Tuple[Tuple[Segments, KeyHead], ...]] = {}
+        self._runs: Dict[Tuple[int, IA], Tuple[Run, ...]] = {}
 
-    def runs(self, up_index: int, c_down: IA) -> Tuple[Tuple[Segments, KeyHead], ...]:
+    def runs(self, up_index: int, c_down: IA) -> Tuple[Run, ...]:
         """The up(+core) runs from up option ``up_index`` to core AS
         ``c_down``, in combination order — the up view alone when the option
         already ends there, else one run per core segment over the joint —
