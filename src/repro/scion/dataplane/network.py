@@ -15,7 +15,9 @@ They do not share queueing (egress queues and link transmitters exist only
 event-driven: the walk is a send on an idle network) nor, today, the
 processing-delay accounting: the walk charges ``router_processing_s`` at
 every router, ``send`` only at crossover and delivery, because the
-``packet_events`` digest pins arrival times (ROADMAP 4(a)).
+``packet_events`` digest pins arrival times (ROADMAP 6(a), the
+benchmark-only change, is where both charge it alike and that digest is
+re-pinned).
 """
 
 from __future__ import annotations
@@ -449,7 +451,8 @@ class ScionDataplane:
         SCMP error the dropping router routes back to the source, for drops
         that produce one — link faults (chaos loss, partitions) and queue
         overflows never do, so the source cannot mistake loss or congestion
-        for a dead link.
+        for a dead link.  The packet starts at its ``curr_hop``; every copy
+        of a frame a link fault duplicates ends in its own callback.
         """
         trace_span = None
         tracer = self._telemetry.tracer
@@ -473,25 +476,35 @@ class ScionDataplane:
             if scmp is not None and on_scmp is not None:
                 on_scmp(packet, scmp)
 
-        self._hop(sim, packet, None, on_delivered, dropped, trace_span)
+        self._hop(sim, packet, packet.curr_hop, None, on_delivered, dropped,
+                  trace_span)
 
     def _hop(
         self,
         sim: Simulator,
         packet: ScionPacket,
+        index: int,
         arrival_ifid: Optional[int],
         on_delivered: Callable[[ScionPacket], None],
         dropped: Callable[..., None],
         trace_span,
     ) -> None:
-        """One hop of an event-driven packet; ``dropped(reason, location,
-        scmp=None)`` is the packet's drop handler built by :meth:`send`."""
+        """The hop at ``index`` in the packet's forwarding plan;
+        ``dropped(reason, location, scmp=None)`` is the packet's drop handler
+        built by :meth:`send`.
+
+        The index travels with each continuation rather than on the packet:
+        when a link fault duplicates a frame, every copy goes on from the
+        hop it reached.  ``packet.curr_hop`` is set from it as the hop is
+        processed.
+        """
         records = packet.path.forwarding_plan()
-        if not (0 <= packet.curr_hop < len(records)):
+        if not (0 <= index < len(records)):
             dropped("hop-pointer-out-of-range", DropLocation())
             return
-        record = records[packet.curr_hop]
-        following = packet.curr_hop + 1
+        packet.curr_hop = index
+        record = records[index]
+        following = index + 1
         next_record = records[following] if following < len(records) else None
         stopped, router, decision, link, iface = self._step(
             record, next_record, arrival_ifid, sim.now
@@ -499,43 +512,46 @@ class ScionDataplane:
         if stopped:
             dropped(stopped, DropLocation(ia=record.hop.ia))
             return
-        tracer = self._telemetry.tracer
         if decision.verdict is Verdict.DELIVER:
-            done = sim.now + self.router_processing_s
             if trace_span is not None:
+                done = sim.now + self.router_processing_s
+                tracer = self._telemetry.tracer
                 tracer.add("packet.delivered", now=done, parent=trace_span,
                            **{"as": str(record.hop.ia)})
                 tracer.end(trace_span, now=done)
             sim.schedule(self.router_processing_s, on_delivered, packet)
             return
         if decision.verdict is Verdict.CROSSOVER:
-            packet.advance()
             sim.schedule(
-                self.router_processing_s,
-                self._hop, sim, packet, None, on_delivered, dropped, trace_span,
+                self.router_processing_s, self._hop,
+                sim, packet, following, None, on_delivered, dropped,
+                trace_span,
             )
             return
         egress = decision.egress_ifid
-        location = DropLocation(ia=record.hop.ia, ifid=egress)
         if link is None:
-            dropped(decision.verdict.value, location,
+            dropped(decision.verdict.value,
+                    DropLocation(ia=record.hop.ia, ifid=egress),
                     self._scmp_for_verdict(decision, record.hop.ia))
             return
         if not router.try_enqueue(egress):
             # Bounded egress queue overflow: congestion, not failure.  The
             # router sheds silently — no SCMP the source could mistake for
             # a dead link, and no revocation: the link is healthy, just busy.
-            dropped(Verdict.DROP_QUEUE_FULL.value, location)
+            dropped(Verdict.DROP_QUEUE_FULL.value,
+                    DropLocation(ia=record.hop.ia, ifid=egress))
             return
-        packet.advance()
+        sender = str(record.hop.ia)
         if trace_span is not None:
-            tracer.add("router.hop", now=sim.now, parent=trace_span,
-                       egress=str(egress), **{"as": str(record.hop.ia)})
+            self._telemetry.tracer.add(
+                "router.hop", now=sim.now, parent=trace_span,
+                egress=str(egress), **{"as": sender},
+            )
 
         def deliver() -> None:
             router.release(egress)
-            self._hop(sim, packet, iface.remote_ifid, on_delivered, dropped,
-                      trace_span)
+            self._hop(sim, packet, following, iface.remote_ifid, on_delivered,
+                      dropped, trace_span)
 
         def drop(reason: str) -> None:
             router.release(egress)
@@ -551,9 +567,9 @@ class ScionDataplane:
             # Only a down link is a router-attributable failure; link faults
             # (chaos loss and corruption, partitions) vanish without an
             # error message.
-            dropped(reason, location,
-                    interface_down(str(location.ia), egress)
+            dropped(reason, DropLocation(ia=record.hop.ia, ifid=egress),
+                    interface_down(sender, egress)
                     if reason == "link-down" else None)
 
-        link.transmit(sim, str(record.hop.ia), packet.size_bytes(),
+        link.transmit(sim, sender, packet.size_bytes(),
                       deliver=deliver, drop=drop)

@@ -5,7 +5,10 @@ header: address header (src/dst ISD-AS + host IP + port), path header
 (segments of info + hop fields with a current-hop pointer), and payload.
 ``encode``/``decode`` round-trip exactly, which the property-based tests
 exercise; the simulated border routers and dispatcher operate on the
-decoded form.
+decoded form.  A :class:`DataplanePath` is frozen, so its encoded path
+header is built once and kept on the path: ``size_bytes`` (asked at every
+link crossing of an event-driven packet) is then arithmetic, not an
+encoding.
 
 Within an AS, SCION packets travel inside UDP/IP ("Layer 2.5",
 Section 4.3.1 of the paper); :class:`UnderlayFrame` models that
@@ -46,6 +49,34 @@ KIND_UDP = 0
 KIND_SCMP = 1
 
 
+def _path_header(path: DataplanePath) -> bytes:
+    """The encoded path header: segment count, then each segment's info
+    field followed by its hop fields and MACs.
+
+    Memoised in the frozen path's ``__dict__`` (a pure function of its
+    segments, so it cannot go stale); a path with a wrong-length MAC raises
+    on every call and is never memoised.
+    """
+    header = path.__dict__.get("_header")
+    if header is None:
+        out = bytearray(struct.pack("!B", len(path.segments)))
+        for seg in path.segments:
+            out += _INFO.pack(
+                seg.info.timestamp, seg.info.seg_id,
+                1 if seg.info.cons_dir else 0, len(seg.hops),
+            )
+            for hop in seg.hops:
+                if len(hop.mac) != MAC_LEN:
+                    raise PacketError(f"hop MAC must be {MAC_LEN} bytes")
+                out += _HOP.pack(
+                    hop.ia.to_int(), hop.cons_ingress, hop.cons_egress,
+                    hop.expiry, hop.beta,
+                )
+                out += hop.mac
+        header = path.__dict__["_header"] = bytes(out)
+    return header
+
+
 @dataclass
 class ScionPacket:
     """A SCION packet in flight."""
@@ -65,11 +96,13 @@ class ScionPacket:
             )
         return hops[self.curr_hop]
 
-    def advance(self) -> None:
-        self.curr_hop += 1
-
     def size_bytes(self) -> int:
-        return len(self.encode())
+        """The length of :meth:`encode`'s output, without encoding."""
+        return (
+            _FIXED.size + 2 * (_ADDR.size + 1)
+            + len(self.src.host.encode()) + len(self.dst.host.encode())
+            + len(_path_header(self.path)) + 4 + len(self.payload)
+        )
 
     def reversed(self) -> "ScionPacket":
         """The reply packet: src/dst swapped, path reversed.
@@ -107,20 +140,7 @@ class ScionPacket:
             out += _ADDR.pack(addr.ia.to_int(), addr.port)
             host = addr.host.encode()
             out += struct.pack("!B", len(host)) + host
-        out += struct.pack("!B", len(self.path.segments))
-        for seg in self.path.segments:
-            out += _INFO.pack(
-                seg.info.timestamp, seg.info.seg_id,
-                1 if seg.info.cons_dir else 0, len(seg.hops),
-            )
-            for hop in seg.hops:
-                if len(hop.mac) != MAC_LEN:
-                    raise PacketError(f"hop MAC must be {MAC_LEN} bytes")
-                out += _HOP.pack(
-                    hop.ia.to_int(), hop.cons_ingress, hop.cons_egress,
-                    hop.expiry, hop.beta,
-                )
-                out += hop.mac
+        out += _path_header(self.path)
         out += struct.pack("!I", len(self.payload)) + self.payload
         return bytes(out)
 

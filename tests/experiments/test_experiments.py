@@ -1,6 +1,9 @@
 """End-to-end tests of the experiment suite: every figure/table runs and
 reproduces the paper's qualitative shape."""
 
+import hashlib
+import tempfile
+
 import pytest
 
 from repro.experiments.registry import (
@@ -22,6 +25,35 @@ PINNED = {
     "crucible": "494295be320d8d9d",
     "adversary": "2dbad14699e0e609",
     "obs_slice": "532ab1b819da6668",
+}
+
+#: sha256 (first 16 hex digits) of every fast-mode ``report()`` text, with
+#: ``$TMPDIR`` standing for the scratch directory the artifacts go to — as
+#: CI runs them, ``OBS_SLICE_DIR`` is ``$TMPDIR/obs_slice``.  Any change to
+#: a paper-vs-measured row or details line moves one of these.
+REPORT_PINS = {
+    "adversary": "c2770a9ee75378e7",
+    "chaos": "f70a5780005f6099",
+    "control_chaos": "8419b79bb377938b",
+    "crucible": "8198e06e085538c9",
+    "dispatcher": "d61695ce73b2db0e",
+    "fig10a": "b9d82bb53d55c06f",
+    "fig10b": "1ecaa8b8e3cbc190",
+    "fig10c": "72ea2655550d4e84",
+    "fig3": "d139682118b4d2e6",
+    "fig4": "e8708b111735749b",
+    "fig5": "748f31a25a262734",
+    "fig6": "54a6c89202ac0ca7",
+    "fig7": "8a6dac5cbd26b005",
+    "fig8": "fb5ff17420fb1bb2",
+    "fig9": "a693f265c639b1f1",
+    "obs_slice": "2cf4174a1faa73e3",
+    "overload": "13a0537855e39794",
+    "revocation_storm": "e955c9dd21548164",
+    "sec52": "b5504dfab74bdc62",
+    "sec56": "b726c3dbe41a4c20",
+    "table1": "88b8067c51c851d6",
+    "table2": "77be2d449ed0dd6e",
 }
 
 
@@ -48,7 +80,10 @@ class TestRegistry:
             get_experiment("fig99")
 
     @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
-    def test_each_experiment_runs_and_reports(self, exp_id):
+    def test_each_experiment_runs_and_reports(self, exp_id, tmp_path, monkeypatch):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        monkeypatch.setenv("OBS_SLICE_DIR", str(tmp_path / "obs_slice"))
         result = run_experiment(exp_id, fast=True)
         assert isinstance(result, ExperimentResult)
         assert result.exp_id == exp_id
@@ -58,6 +93,8 @@ class TestRegistry:
         assert "paper:" in report
         if exp_id in PINNED:
             assert PINNED[exp_id] in report
+        text = report.replace(str(tmp_path), "$TMPDIR")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPORT_PINS[exp_id]
 
 
 def _measured(result: ExperimentResult, metric: str) -> str:

@@ -2,6 +2,8 @@
 dispatcher models, and the intra-AS underlay."""
 
 import dataclasses
+import hashlib
+import math
 
 import pytest
 
@@ -300,6 +302,64 @@ class TestEventDrivenDelivery:
         sim.run_until_idle()
         assert len(rtt) == 1
         assert rtt[0] == pytest.approx(diamond_network.probe(meta).rtt_s, rel=0.01)
+
+
+#: One burst from the first SCIERA host to the 28 others over their
+#: ``select_path`` paths: kernel events processed and the sha256 of the
+#: sorted ``(dst, arrival)`` pairs.  The event-driven hop may get cheaper;
+#: it may not schedule other events, or fire them at other times.
+BURST_EVENTS = 173
+BURST_DIGEST = "6ab79c85a9ab2268"
+
+
+class TestEventSchedule:
+    def test_one_burst_is_pinned(self, sciera_world):
+        network = sciera_world.network
+        hosts = sorted(sciera_world.hosts)
+        source = hosts[0]
+        address = {
+            name: HostAddr(host.ia, host.ip, 4000)
+            for name, host in sciera_world.hosts.items()
+        }
+        context = sciera_world.pan(source)
+        routes = [
+            (name, context.select_path(
+                sciera_world.hosts[name].ia, now=float(network.timestamp)
+            ).path)
+            for name in hosts if name != source
+        ]
+        # The session world's links remember when their transmitters are
+        # free: start on a whole second after all of them, inside the
+        # binade of the build timestamp, so every arrival is bit-identical
+        # whatever ran before — and put them back after, since later tests
+        # send from the build timestamp on.
+        free_at = [
+            (link, dict(link._tx_free_at))
+            for link in network.topology.links.values()
+        ]
+        busy = max(max(times.values()) for _, times in free_at)
+        start = float(math.floor(max(busy, network.timestamp)) + 1)
+        assert start < 2 ** 20
+        sim = Simulator(start_time=start)
+        arrivals, drops = [], []
+        try:
+            for name, path in routes:
+                packet = ScionPacket(
+                    src=address[source], dst=address[name], path=path,
+                    payload=b"x" * 256,
+                )
+                network.dataplane.send(
+                    sim, packet,
+                    lambda p: arrivals.append((str(p.dst), sim.now - start)),
+                    lambda p, reason, location: drops.append(reason),
+                )
+            sim.run_until_idle()
+        finally:
+            for link, times in free_at:
+                link._tx_free_at = times
+        assert drops == [] and len(arrivals) == 28
+        digest = hashlib.sha256(repr(sorted(arrivals)).encode()).hexdigest()[:16]
+        assert (sim.events_processed, digest) == (BURST_EVENTS, BURST_DIGEST)
 
 
 class TestDispatcher:

@@ -8,6 +8,7 @@ from repro.scion.crypto.keys import SymmetricKey
 from repro.scion.crypto.mac import MAC_LEN
 from repro.scion.packet import (
     KIND_SCMP,
+    KIND_UDP,
     PacketError,
     ScionPacket,
     UnderlayFrame,
@@ -190,3 +191,67 @@ def test_packet_round_trip_property(payload, curr_hop, src_port):
     )
     decoded = ScionPacket.decode(packet.encode())
     assert decoded == packet
+
+
+_hop_fields = st.builds(
+    HopField,
+    ia=st.builds(IA.from_int, st.integers(0, 2**64 - 1)),
+    cons_ingress=st.integers(0, 2**16 - 1),
+    cons_egress=st.integers(0, 2**16 - 1),
+    expiry=st.integers(0, 2**32 - 1),
+    beta=st.integers(0, 2**16 - 1),
+    mac=st.binary(min_size=MAC_LEN, max_size=MAC_LEN),
+)
+_segments = st.builds(
+    PathSegmentHops,
+    info=st.builds(
+        InfoField,
+        timestamp=st.integers(0, 2**32 - 1),
+        seg_id=st.integers(0, 2**16 - 1),
+        cons_dir=st.booleans(),
+    ),
+    hops=st.lists(_hop_fields, min_size=1, max_size=6).map(tuple),
+)
+_hosts = st.builds(
+    HostAddr,
+    ia=st.builds(IA.from_int, st.integers(0, 2**64 - 1)),
+    host=st.text(min_size=1, max_size=40),  # under 256 bytes in UTF-8
+    port=st.integers(0, 65535),
+)
+
+
+@given(
+    src=_hosts,
+    dst=_hosts,
+    segments=st.lists(_segments, min_size=1, max_size=3).map(tuple),
+    payload=st.binary(max_size=600),
+    kind=st.sampled_from([KIND_UDP, KIND_SCMP]),
+    curr_hop=st.integers(0, 2**16 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_size_bytes_is_the_encoded_length(src, dst, segments, payload, kind, curr_hop):
+    packet = ScionPacket(src, dst, DataplanePath(segments), payload, kind, curr_hop)
+    size = packet.size_bytes()  # builds the path-header memo
+    raw = packet.encode()  # encodes through it
+    assert size == len(raw)
+    assert ScionPacket.decode(raw) == packet
+
+
+@pytest.mark.parametrize("mac_len", [0, MAC_LEN - 1, MAC_LEN + 1])
+def test_wrong_length_mac_rejected_by_size_and_encode(mac_len):
+    good = two_segment_path()
+    down = good.segments[1]
+    bad_hop = HopField(IA.parse("71-200"), 4, 0, TS + 60, 1, b"m" * mac_len)
+    path = DataplanePath((
+        good.segments[0], PathSegmentHops(down.info, (down.hops[0], bad_hop))
+    ))
+    packet = ScionPacket(
+        src=HostAddr(IA.parse("71-100"), "10.0.0.1", 4001),
+        dst=HostAddr(IA.parse("71-200"), "10.0.0.2", 4002),
+        path=path,
+    )
+    for _ in range(2):  # a failed header is never memoised
+        with pytest.raises(PacketError):
+            packet.size_bytes()
+        with pytest.raises(PacketError):
+            packet.encode()

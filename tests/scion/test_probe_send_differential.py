@@ -40,14 +40,18 @@ class Sent:
     scmp: object = None
 
 
-def _send(dataplane, sim: Simulator, path: DataplanePath, reverse: bool = False) -> Sent:
-    now = sim.now
-    packet = ScionPacket(
+def _packet(path: DataplanePath) -> ScionPacket:
+    return ScionPacket(
         src=HostAddr(path.src_ia, "10.0.0.1", 4000),
         dst=HostAddr(path.dst_ia, "10.0.0.2", 4001),
         path=path,
         payload=b"echo",
     )
+
+
+def _send(dataplane, sim: Simulator, path: DataplanePath, reverse: bool = False) -> Sent:
+    now = sim.now
+    packet = _packet(path)
     if reverse:
         packet = packet.reversed()
     sent = Sent()
@@ -99,8 +103,8 @@ def agree(dataplane, sim: Simulator, path: DataplanePath) -> str:
         assert (sent.ifid or None) == (probe.failed_ifid or None)
         assert sent.scmp == probe.scmp
         return probe.failure
-    # The one known difference, pinned until ROADMAP 4(a)'s benchmark-only
-    # PR re-pins the ``packet_events`` digest (it hashes arrival times): the
+    # The one known difference, pinned until ROADMAP 6(a)'s benchmark-only
+    # change re-pins the ``packet_events`` digest (it hashes arrival times): the
     # walk charges ``router_processing_s`` at every router, ``send`` only at
     # crossover and delivery — not at routers that forward onto a link.
     assert probe.one_way_s - sent.one_way_s == pytest.approx(
@@ -265,6 +269,36 @@ class TestRandomWorlds:
             dataplane.probe(path, sim.now).one_way_s
             >= dataplane.path_latency_s(path) + 0.003
         )
+
+    def test_duplicated_frame_copies_travel_independently(self, world):
+        """A link fault that answers two copies of the first frame it sees:
+        each copy goes on from the hop it reached, so both arrive when the
+        lone frame would have — neither is decided at a hop the other has
+        moved on to."""
+        network, sim = world
+        dataplane = network.dataplane
+        checked = 0
+        for path in _paths(network, 2):
+            links = dataplane.analyze(path, sim.now).links
+            if not links:
+                continue
+            alone = _send(dataplane, sim, path)
+            assert alone.delivered
+            answers = [(0.0, 2)]  # a path may cross the link again
+            remove = links[0].add_fault(
+                lambda now, sender: answers.pop() if answers else (0.0, 1)
+            )
+            start, outcomes = sim.now, []
+            dataplane.send(
+                sim, _packet(path),
+                lambda _packet: outcomes.append(sim.now - start),
+                lambda _packet, reason, location: outcomes.append(reason),
+            )
+            sim.run_until_idle()
+            remove()
+            assert outcomes == [alone.one_way_s] * 2
+            checked += 1
+        assert checked
 
     def test_hop_onto_a_link_that_misses_the_next_as(self, world):
         """An AS re-cabled two interfaces: hop fields still verify, but the
