@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.overload import OverloadRejected
 from repro.obs import CounterBackedStats, Telemetry, resolve
 from repro.scion.addr import IA
+from repro.scion.control.path_server import RevocationCheck
 from repro.scion.control.service import TrustStore
 from repro.scion.crypto.trc import Trc
 from repro.scion.network import ScionNetwork
@@ -98,12 +99,6 @@ class DaemonStats(CounterBackedStats):
     PREFIX = "daemon"
 
 
-#: Constructor sentinel: "derive the revocation verifier from the network"
-#: (the default).  Distinct from ``None``, which disables verification —
-#: the fail-open mode the red-team experiment's naive arm uses.
-_NETWORK_VERIFIER = object()
-
-
 class Daemon:
     """Per-host path lookup/caching service."""
 
@@ -115,7 +110,6 @@ class Daemon:
         down_interface_ttl_s: float = 60.0,
         fetch: Optional[Callable[[IA], List[PathMeta]]] = None,
         propagate_revocations: bool = True,
-        revocation_verifier: object = _NETWORK_VERIFIER,
         telemetry: Optional[Telemetry] = None,
     ):
         self.network = network
@@ -133,16 +127,9 @@ class Daemon:
             self.telemetry.metrics if self.telemetry.enabled else None,
             labels={"as": str(ia)},
         )
-        #: Same contract as :attr:`LocalPathServer.revocation_verifier`:
-        #: a predicate checking a token's signature against the revoking
-        #: AS's public key.  Defaults to the network's resolver; ``None``
-        #: accepts every token (fail-open; the crucible's
-        #: ``bug="trust-revocations"`` regression only).
-        self.revocation_verifier: Optional[Callable[[Revocation], bool]] = (
-            network.verify_revocation
-            if revocation_verifier is _NETWORK_VERIFIER
-            else revocation_verifier  # type: ignore[assignment]
-        )
+        #: The network's revocation check, as on every
+        #: :class:`~repro.scion.control.path_server.LocalPathServer`.
+        self.check_revocation: RevocationCheck = network.check_revocation
         #: Security attribution: forged (unverifiable) revocation tokens
         #: this daemon refused to act on.
         self._security_forged_revocations = self.telemetry.metrics.counter(
@@ -320,13 +307,11 @@ class Daemon:
 
     def _ingest_revocation(self, revocation: Revocation, now: float) -> None:
         self.stats.inc("revocations_received")
-        if (
-            self.revocation_verifier is not None
-            and not self.revocation_verifier(revocation)
-        ):
-            # Forged token: anyone can *claim* an interface died, but only
-            # the owning AS can say so authoritatively.  Reject before any
-            # state moves — no down-mark, no eviction, no upstream push.
+        if self.check_revocation(revocation, now) is not None:
+            # Forged token (dead ones never get this far): anyone can
+            # *claim* an interface died, but only the owning AS can say so
+            # authoritatively.  Reject before any state moves — no
+            # down-mark, no eviction, no upstream push.
             self.stats.inc("revocations_rejected")
             self._security_forged_revocations.inc()
             tel = self.telemetry

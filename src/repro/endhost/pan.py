@@ -229,7 +229,6 @@ class ScionSocket:
         self.handler: Optional[MessageHandler] = None
         self.received: List[Tuple[bytes, HostAddr]] = []
         self.sent_packets = 0
-        self.dispatcherless = True  # Section 4.8: per-app sockets by default
 
     @property
     def host(self) -> ScionHost:

@@ -85,9 +85,7 @@ def build_arm(seed: int = 0) -> Arm:
     an admission guard in front of the leaf's path server."""
     telemetry = Telemetry()
     topology = TOPOLOGIES["mesh5"](seed)
-    network = ScionNetwork(
-        topology, seed=seed, verify_beacons=True, telemetry=telemetry
-    )
+    network = ScionNetwork(topology, seed=seed, telemetry=telemetry)
     network.dataplane.revocation_ttl_s = REVOCATION_TTL_S
     leaves = sorted(
         ia for ia, topo in topology.ases.items() if not topo.is_core

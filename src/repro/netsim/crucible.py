@@ -27,8 +27,8 @@ fires is worse than none):
   under a load surge; the ``codel-spares-critical`` invariant must catch
   it and the shrinker must reduce the schedule to (essentially) the
   surge that triggers it.
-* ``"trust-revocations"`` — daemons and path servers skip revocation
-  signature verification and freshness checking (the pre-hardening
+* ``"trust-revocations"`` — daemons and path servers get an accept-all
+  revocation check in place of the network's (the pre-hardening
   behaviour); an adversarial schedule's forged/replayed revocations then
   poison the quarantine and the ``security-*`` invariants must catch it.
 
@@ -87,10 +87,10 @@ FAULT_KINDS = (
 )
 
 #: Byzantine fault kinds, opt-in via :func:`generate_adversarial_schedule`
-#: (or an explicit ``kinds=`` argument).  Beacon-forgery attacks are not
-#: drawn here: the crucible world runs with ``verify_beacons=False`` for
-#: speed, so beacon attacks live in the ``adversary`` experiment, which
-#: builds a fully verifying network.
+#: (or an explicit ``kinds=`` argument), kept out of :data:`FAULT_KINDS` so
+#: legacy seeds draw the same schedules.  Beacon forgery and PCB replay are
+#: not kinds yet: adding them here would shift ``rng.choice`` for every
+#: adversarial seed; they live in the ``adversary`` experiment.
 ADVERSARY_KINDS = (
     "adv-forge-revocation",
     "adv-replay-revocation",
@@ -438,10 +438,7 @@ class CrucibleWorld:
             )
         topology = builder(schedule.seed)
         self.network = ScionNetwork(
-            topology,
-            seed=schedule.seed,
-            verify_beacons=False,
-            telemetry=self.telemetry,
+            topology, seed=schedule.seed, telemetry=self.telemetry
         )
         # Short TTLs: quarantine and down-marks must lift inside the
         # settle window, or the eventually-invariants would test TTL
@@ -481,14 +478,16 @@ class CrucibleWorld:
                 reset_timeout_s=1.0, telemetry=self.telemetry,
             )
         if bug == "trust-revocations":
-            # The pre-hardening ingestion behaviour: accept any revocation
-            # shape without signature or freshness checks.  Adversarial
-            # schedules must make the security invariants catch this.
+            # The pre-hardening ingestion behaviour: a check that accepts
+            # every revocation, forged or replayed.  Adversarial schedules
+            # must make the security invariants catch this.
+            def trust_all(revocation, now):
+                return None
+
             for service in self.network.services.values():
-                service.path_server.revocation_verifier = None
-                service.path_server.check_revocation_freshness = False
+                service.path_server.check_revocation = trust_all
             for daemon in self.daemons.values():
-                daemon.revocation_verifier = None
+                daemon.check_revocation = trust_all
         #: The resident Byzantine actor.  Its RNG and event stream are
         #: fully separate from the injector's, so worlds that never draw
         #: an adversarial fault behave (and digest) exactly as before.

@@ -66,14 +66,13 @@ def build_sciera(
     seed: int = 0,
     k_propagate: int = 8,
     k_register: int = 16,
-    verify_beacons: bool = True,
     with_hosts: bool = True,
 ) -> ScieraWorld:
     """Stand up the deployment.
 
-    ``verify_beacons=False`` skips per-beacon signature verification during
-    convergence (the PKI issuance and registration still happen) — useful
-    for experiments that rebuild the network many times.
+    Convergence verifies every beacon's signature chain like any
+    :class:`ScionNetwork` does; ``with_hosts=False`` skips the end hosts,
+    bootstrap servers and access environments.
     """
     topology = build_sciera_topology()
     network = ScionNetwork(
@@ -81,7 +80,6 @@ def build_sciera(
         seed=seed,
         k_propagate=k_propagate,
         k_register=k_register,
-        verify_beacons=verify_beacons,
     )
     ip_internet = build_ip_internet()
     registry = HostRegistry()

@@ -206,9 +206,6 @@ class BeaconingEngine:
         key_resolver: Callable[[IA], "RsaPublicKey"],
         timestamp: int,
         k_propagate: int = 6,
-        store_capacity: int = 48,
-        verify_beacons: bool = True,
-        max_beacon_age_s: float = MAX_BEACON_AGE_S,
         telemetry: Optional[Telemetry] = None,
     ):
         self.topology = topology
@@ -217,10 +214,6 @@ class BeaconingEngine:
         self.key_resolver = key_resolver
         self.timestamp = timestamp
         self.k_propagate = k_propagate
-        self.verify_beacons = verify_beacons
-        #: Freshness bound on received beacons.  Independent of
-        #: ``verify_beacons``: staleness needs no crypto to detect.
-        self.max_beacon_age_s = max_beacon_age_s
         self.stats = BeaconingStats()
         tel = resolve(telemetry)
         self._telemetry = tel
@@ -239,10 +232,10 @@ class BeaconingEngine:
         #: the PCB that started the diffusion.
         self._beacon_spans: Dict[str, object] = {}
         self.core_stores: Dict[IA, BeaconStore] = {
-            ia: BeaconStore(store_capacity) for ia in topology.ases
+            ia: BeaconStore() for ia in topology.ases
         }
         self.down_stores: Dict[IA, BeaconStore] = {
-            ia: BeaconStore(store_capacity) for ia in topology.ases
+            ia: BeaconStore() for ia in topology.ases
         }
         #: (sender, beacon fingerprint, egress ifid) already propagated.
         self._sent: Set[Tuple[IA, str, int]] = set()
@@ -316,7 +309,7 @@ class BeaconingEngine:
         if receiver in beacon.as_sequence():
             self.stats.beacons_rejected_loop += 1
             return False
-        if self.timestamp - beacon.timestamp > self.max_beacon_age_s:
+        if self.timestamp - beacon.timestamp > MAX_BEACON_AGE_S:
             # Replayed stale PCB: valid-looking (possibly even correctly
             # signed) but minted far in the past.  Accepting it would let
             # an attacker resurrect withdrawn topology.
@@ -337,27 +330,26 @@ class BeaconingEngine:
                     receiver=str(receiver), reason="replayed-stale",
                 )
             return False
-        if self.verify_beacons:
-            try:
-                beacon.verify(self.key_resolver)
-            except BeaconError:
-                self.stats.beacons_rejected_invalid += 1
-                self._security_forged_beacons.inc()
-                if self._telemetry.enabled:
-                    self._telemetry.events.record(
-                        float(self.timestamp), "security", "forged-beacon",
-                        target=str(receiver),
-                        detail=f"beacon claiming origin {beacon.origin_ia} "
-                               "failed signature verification",
-                        severity="critical",
-                    )
-                if parent_span is not None:
-                    self._tracer.add(
-                        "beacon.reject", now=float(self.timestamp),
-                        parent=parent_span, status="error",
-                        receiver=str(receiver), reason="invalid-signature",
-                    )
-                return False
+        try:
+            beacon.verify(self.key_resolver)
+        except BeaconError:
+            self.stats.beacons_rejected_invalid += 1
+            self._security_forged_beacons.inc()
+            if self._telemetry.enabled:
+                self._telemetry.events.record(
+                    float(self.timestamp), "security", "forged-beacon",
+                    target=str(receiver),
+                    detail=f"beacon claiming origin {beacon.origin_ia} "
+                           "failed signature verification",
+                    severity="critical",
+                )
+            if parent_span is not None:
+                self._tracer.add(
+                    "beacon.reject", now=float(self.timestamp),
+                    parent=parent_span, status="error",
+                    receiver=str(receiver), reason="invalid-signature",
+                )
+            return False
         terminal = self._make_entry(receiver, ingress, 0, beacon.next_beta())
         terminated = beacon.with_entry(terminal, self.signing_keys[receiver])
         if store.insert(terminated):

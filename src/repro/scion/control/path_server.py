@@ -26,6 +26,17 @@ if TYPE_CHECKING:  # imported lazily: repro.core pulls in scion modules
     from repro.core.overload import OverloadGuard
 
 
+#: Modeled lookup round-trip times: local path server to a core path server,
+#: and one more hop from there to a core path server in a remote ISD.
+CORE_RTT_S = 0.020
+REMOTE_ISD_RTT_S = 0.080
+
+#: ``check(revocation, now)``: why the token is refused (``"replayed"`` or
+#: ``"forged"``), or ``None`` to accept it.  See
+#: :meth:`repro.scion.network.ScionNetwork.check_revocation`.
+RevocationCheck = Callable[[Revocation, Optional[float]], Optional[str]]
+
+
 class PathServerError(Exception):
     """Raised for invalid registrations or lookups."""
 
@@ -379,16 +390,12 @@ class LocalPathServer:
         self,
         ia: IA,
         registry: SegmentRegistry,
-        core_rtt_s: float = 0.020,
-        remote_isd_rtt_s: float = 0.080,
-        revocation_verifier: Optional[Callable[[Revocation], bool]] = None,
+        check_revocation: RevocationCheck,
         telemetry: Optional[Telemetry] = None,
         guard: Optional[OverloadGuard] = None,
     ):
         self.ia = ia
         self.registry = registry
-        self.core_rtt_s = core_rtt_s
-        self.remote_isd_rtt_s = remote_isd_rtt_s
         #: Optional overload guard for lookups.  Admission is consulted only
         #: when the caller supplies ``now`` (legacy now-less lookups — and
         #: their seeded digests — bypass it); a refused lookup raises
@@ -414,15 +421,10 @@ class LocalPathServer:
             "expired (replayed stale tokens).",
             labels={"as": str(ia)},
         )
-        #: Checks a revocation's signature against the revoking AS's public
-        #: key (wired by ScionNetwork).  When set, unverifiable revocations
-        #: are rejected — anyone can *claim* an interface died; only the AS
-        #: that owns it can say so authoritatively.
-        self.revocation_verifier = revocation_verifier
-        #: With freshness checking off, a replayed token past its TTL is
-        #: ingested like a live one.  Held open only for the crucible's
-        #: ``bug="trust-revocations"`` regression; never disable otherwise.
-        self.check_revocation_freshness = True
+        #: Refuses replayed (past-TTL) and forged tokens — anyone can
+        #: *claim* an interface died; only the AS that owns it can say so
+        #: authoritatively, and only while the token lives.
+        self.check_revocation = check_revocation
         #: Called with every accepted revocation — the supervisor hangs its
         #: replay ledger here.
         self.on_revocation: Optional[Callable[[Revocation], None]] = None
@@ -471,11 +473,8 @@ class LocalPathServer:
         revocations flow to the :attr:`on_revocation` hook so a supervisor
         can replay them into a restarted server.
         """
-        if (
-            self.check_revocation_freshness
-            and now is not None
-            and not revocation.active(now)
-        ):
+        refused = self.check_revocation(revocation, now)
+        if refused == "replayed":
             # A token past its TTL arriving now is a replay: the network
             # already healed (or never broke); re-quarantining from a dead
             # token would let an attacker suppress a healthy link with a
@@ -492,9 +491,7 @@ class LocalPathServer:
                     severity="warning",
                 )
             return 0
-        if self.revocation_verifier is not None and not self.revocation_verifier(
-            revocation
-        ):
+        if refused is not None:
             self.registry.stats.inc("revocations_rejected")
             self._security_forged_revocations.inc()
             tel = self._telemetry
@@ -637,10 +634,10 @@ class LocalPathServer:
 
         ups = self.up_segments
         round_trips = 1  # local path server -> core path server
-        latency = self.core_rtt_s
+        latency = CORE_RTT_S
         if dst.isd != self.ia.isd:
             round_trips += 1  # core PS -> remote ISD core PS
-            latency += self.remote_isd_rtt_s
+            latency += REMOTE_ISD_RTT_S
 
         downs = [] if dst == self.ia else self.registry.down_segments(dst)
         local_cores = {seg.origin_ia for seg in ups} or {self.ia}

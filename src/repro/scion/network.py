@@ -71,7 +71,6 @@ class ScionNetwork:
         timestamp: int = 1_000_000,
         k_propagate: int = 6,
         k_register: int = 16,
-        verify_beacons: bool = True,
         run_beaconing: bool = True,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -108,7 +107,8 @@ class ScionNetwork:
                 forwarding_key=derive_forwarding_key(master, str(ia)),
                 certificate=issued,
                 path_server=LocalPathServer(
-                    ia, self.registry, telemetry=telemetry
+                    ia, self.registry, self.check_revocation,
+                    telemetry=telemetry,
                 ),
             )
             for trust_material in self.isd_trust.values():
@@ -122,9 +122,6 @@ class ScionNetwork:
             ia: service.signing_key for ia, service in self.services.items()
         }
 
-        for service in self.services.values():
-            service.path_server.revocation_verifier = self.verify_revocation
-
         # 3-4. Beaconing and registration.
         self._path_cache: Dict[Tuple[IA, IA], Tuple[PathMeta, ...]] = {}
         self._path_cache_version = self.registry.version
@@ -132,9 +129,7 @@ class ScionNetwork:
         self._core_halves: Dict[IA, Tuple[tuple, tuple, CoreHalf]] = {}
         self.beaconing: Optional[BeaconingEngine] = None
         if run_beaconing:
-            self.run_beaconing(
-                k_propagate=k_propagate, verify_beacons=verify_beacons
-            )
+            self.run_beaconing(k_propagate=k_propagate)
 
         # 5. Data plane — handed the AS signing keys so the SCMP errors it
         # emits can be turned into *signed* revocations at the source AS.
@@ -301,7 +296,6 @@ class ScionNetwork:
     def run_beaconing(
         self,
         k_propagate: int = 6,
-        verify_beacons: bool = True,
         now: Optional[float] = None,
     ) -> BeaconingEngine:
         """(Re-)run beaconing to a fixed point and register the segments.
@@ -328,7 +322,6 @@ class ScionNetwork:
             # instead of ones born past their own hop expiry.
             timestamp=int(verify_now),
             k_propagate=k_propagate,
-            verify_beacons=verify_beacons,
             telemetry=self.telemetry,
         )
         engine.run()
@@ -517,12 +510,12 @@ class ScionNetwork:
             forwarding_key=derive_forwarding_key(master, str(ia)),
             certificate=issued,
             path_server=LocalPathServer(
-                ia, self.registry, telemetry=self.telemetry
+                ia, self.registry, self.check_revocation,
+                telemetry=self.telemetry,
             ),
         )
         for trust_material in self.isd_trust.values():
             service.trust_store.add_trc(trust_material.trc)
-        service.path_server.revocation_verifier = self.verify_revocation
         self.services[ia] = service
         self.forwarding_keys[ia] = service.forwarding_key
         self.signing_keys[ia] = service.signing_key
@@ -542,8 +535,7 @@ class ScionNetwork:
         self._path_cache_version = self.registry.version
         for service in self.services.values():
             service.path_server = LocalPathServer(
-                service.ia, self.registry,
-                revocation_verifier=self.verify_revocation,
+                service.ia, self.registry, self.check_revocation,
                 telemetry=self.telemetry,
             )
 
@@ -552,14 +544,30 @@ class ScionNetwork:
     def verify_revocation(self, revocation: Revocation) -> bool:
         """Check a revocation's signature against the revoking AS's key.
 
-        This is the verifier wired into every local path server: only the
-        AS that owns an interface can revoke it, using the same signing key
-        its beacons are verified with.
+        Only the AS that owns an interface can revoke it, using the same
+        signing key its beacons are verified with.
         """
         key = self.signing_keys.get(revocation.ia)
         if key is None:
             return False
         return revocation.verify(key.public)
+
+    def check_revocation(
+        self, revocation: Revocation, now: Optional[float]
+    ) -> Optional[str]:
+        """Why ``revocation`` is refused, or ``None`` to accept it.
+
+        The check wired into every local path server and daemon.  Freshness
+        comes first: a token past its TTL at ``now`` is ``"replayed"``,
+        signed or not (with ``now=None`` there is no clock to judge it
+        by).  A live token that fails :meth:`verify_revocation` is
+        ``"forged"``.
+        """
+        if now is not None and not revocation.active(now):
+            return "replayed"
+        if not self.verify_revocation(revocation):
+            return "forged"
+        return None
 
     def revoke_interface(
         self, ia: IA, ifid: int, now: float,

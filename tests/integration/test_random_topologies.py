@@ -65,7 +65,7 @@ def random_topology(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_full_stack_invariants_on_random_topologies(topology):
-    network = ScionNetwork(topology, seed=3, verify_beacons=True)
+    network = ScionNetwork(topology, seed=3)
     ases = sorted(topology.ases)
     for src in ases:
         for dst in ases:
@@ -95,7 +95,7 @@ def test_full_stack_invariants_on_random_topologies(topology):
 def test_link_failure_consistency_on_random_topologies(topology, data):
     """Active paths after a random link failure = exactly the paths that
     do not traverse the failed link."""
-    network = ScionNetwork(topology, seed=3, verify_beacons=False)
+    network = ScionNetwork(topology, seed=3)
     link_names = sorted(topology.links)
     victim = data.draw(st.sampled_from(link_names))
     ases = sorted(topology.ases)

@@ -10,7 +10,7 @@ import pytest
 from repro.core.overload import OverloadGuard
 from repro.endhost.daemon import Daemon
 from repro.netsim.adversary import ByzantineAdversary
-from repro.netsim.crucible import TOPOLOGIES
+from repro.netsim.crucible import TOPOLOGIES, CrucibleWorld, generate_schedule
 from repro.obs import Telemetry
 from repro.scion.crypto.keys import SymmetricKey
 from repro.scion.network import ScionNetwork
@@ -22,8 +22,7 @@ from tests.reference_arms import gates_open, unbounded_guard
 def world():
     telemetry = Telemetry()
     network = ScionNetwork(
-        TOPOLOGIES["mesh5"](0), seed=0, verify_beacons=True,
-        telemetry=telemetry,
+        TOPOLOGIES["mesh5"](0), seed=0, telemetry=telemetry
     )
     adversary = ByzantineAdversary(
         network, seed=7, event_log=telemetry.events
@@ -63,6 +62,16 @@ class TestBeaconAttacks:
         assert not outcome.succeeded
         assert outcome.detected
         assert network.beaconing.stats.beacons_rejected_replayed > before
+
+    def test_crucible_world_rejects_forged_beacons(self):
+        world = CrucibleWorld(
+            generate_schedule(seed=3, topology="mesh5", n_faults=2)
+        )
+        t0 = float(world.network.timestamp)
+        first_leaf = _leaves(world.network)[0]
+        outcome = world.adversary.forge_beacon(first_leaf, t0 + 0.05)
+        assert outcome.succeeded is False
+        assert outcome.detected is True
 
     def test_forgery_succeeds_with_verification_off(self, world):
         network, adversary, _ = world
@@ -204,8 +213,7 @@ class TestDeterminismAndAttribution:
     def _campaign(self, seed):
         telemetry = Telemetry()
         network = ScionNetwork(
-            TOPOLOGIES["mesh5"](0), seed=0, verify_beacons=True,
-            telemetry=telemetry,
+            TOPOLOGIES["mesh5"](0), seed=0, telemetry=telemetry
         )
         adversary = ByzantineAdversary(
             network, seed=seed, event_log=telemetry.events

@@ -83,9 +83,7 @@ class TestPartitionProperties:
     def test_symmetric_cut_then_heal_reconverges(self, seed, cut, observer):
         if cut == observer:
             return
-        network = ScionNetwork(
-            TOPOLOGIES["mesh5"](seed), seed=seed, verify_beacons=False
-        )
+        network = ScionNetwork(TOPOLOGIES["mesh5"](seed), seed=seed)
         injector = FaultInjector(seed=seed)
         now = float(network.timestamp)
 

@@ -24,8 +24,7 @@ LEAF1, LEAF2, LEAF3 = IA(71, 100), IA(71, 200), IA(71, 300)
 
 def _world(seed: int = 7, telemetry: Telemetry = None):
     network = ScionNetwork(
-        TOPOLOGIES["mesh5"](seed), seed=seed, verify_beacons=False,
-        telemetry=telemetry,
+        TOPOLOGIES["mesh5"](seed), seed=seed, telemetry=telemetry
     )
     injector = FaultInjector(seed=seed)
     return network, injector

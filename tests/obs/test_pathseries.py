@@ -102,7 +102,7 @@ class TestEndhostWiring:
         recorder = PathSeriesRecorder().attach(tel)
         net = ScionNetwork(make_diamond_topology(), seed=7)
         registry = HostRegistry()
-        daemon = Daemon(net, A, telemetry=tel, revocation_verifier=None)
+        daemon = Daemon(net, A, telemetry=tel)
         host_a = ScionHost(net, A, "10.0.1.10", registry, daemon=daemon)
         host_b = ScionHost(net, B, "10.0.2.20", registry,
                            daemon=Daemon(net, B))
@@ -139,9 +139,10 @@ class TestEndhostWiring:
         tel, recorder, net, host_a, _ = self._world()
         daemon = host_a.daemon
         daemon.lookup(B, now=0.0)
+        origin = IA.parse("71-2")
         revocation = Revocation(
-            ia=IA.parse("71-2"), ifid=1, issued_at=1.0, ttl_s=30.0
-        )
+            ia=origin, ifid=1, issued_at=1.0, ttl_s=30.0
+        ).signed_by(net.signing_keys[origin])
         daemon.handle_revocation(revocation, now=1.0)
         rows = [s for s in recorder.samples if s.event == "revocation"]
         assert len(rows) == 1

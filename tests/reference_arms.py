@@ -32,6 +32,8 @@ from repro.experiments.overload import (
 )
 from repro.netsim.chaos import LoadSurge
 from repro.obs import Slo, SloEngine, Telemetry, build_health_report
+from repro.scion.control import beaconing as beaconing_module
+from repro.scion.control.segments import Beacon
 from repro.scion.dataplane import router as router_module
 from repro.scion.network import ScionNetwork
 from repro.scion.path import HopField
@@ -62,13 +64,15 @@ def gates_open(network, daemons=()):
         def patch(target, name, value):
             stack.enter_context(mock.patch.object(target, name, value))
 
-        patch(network.beaconing, "verify_beacons", False)
-        patch(network.beaconing, "max_beacon_age_s", math.inf)
+        def trust_all(revocation, now):
+            return None
+
+        patch(Beacon, "verify", lambda self, key_resolver: None)
+        patch(beaconing_module, "MAX_BEACON_AGE_S", math.inf)
         for service in network.services.values():
-            patch(service.path_server, "revocation_verifier", None)
-            patch(service.path_server, "check_revocation_freshness", False)
+            patch(service.path_server, "check_revocation", trust_all)
         for daemon in daemons:
-            patch(daemon, "revocation_verifier", None)
+            patch(daemon, "check_revocation", trust_all)
         patch(HopField, "verify", lambda self, key, timestamp: True)
         patch(router_module, "MAX_HOP_LIFETIME_S", math.inf)
         patch(LightningFilter, "verify", lambda self, *args, **kwargs: True)

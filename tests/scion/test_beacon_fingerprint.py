@@ -13,9 +13,7 @@ from repro.scion.network import ScionNetwork
 
 
 def _network():
-    return ScionNetwork(
-        TOPOLOGIES["mesh5"](0), seed=42, verify_beacons=False
-    )
+    return ScionNetwork(TOPOLOGIES["mesh5"](0), seed=42)
 
 
 def _all_stored_beacons(network):

@@ -149,5 +149,5 @@ class TestSelectDifferential:
 
     def test_random_topology_stores(self):
         self._assert_same_choice(
-            ScionNetwork(random_topology(64, seed=5), seed=1, verify_beacons=False)
+            ScionNetwork(random_topology(64, seed=5), seed=1)
         )

@@ -37,18 +37,13 @@ def _network(kind: str, seed: int = 0) -> ScionNetwork:
     key = (kind, seed)
     if key not in _NETWORKS:
         if kind == "sciera":
-            net = build_sciera(
-                seed=1, verify_beacons=False, with_hosts=False
-            ).network
+            net = build_sciera(seed=1, with_hosts=False).network
         elif kind == "peering":
             net = ScionNetwork(make_peering_topology(), seed=7)
         elif kind == "shortcut":
             net = ScionNetwork(make_shortcut_topology(), seed=7)
         else:
-            net = ScionNetwork(
-                random_topology(int(kind), seed=seed), seed=1,
-                verify_beacons=False,
-            )
+            net = ScionNetwork(random_topology(int(kind), seed=seed), seed=1)
         _NETWORKS[key] = net
     return _NETWORKS[key]
 

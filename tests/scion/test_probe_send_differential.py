@@ -183,7 +183,7 @@ def world(request):
     seed = request.param
     network = ScionNetwork(
         random_topology(14, seed=seed, n_core=2, peer_fraction=0.3),
-        seed=seed, verify_beacons=False,
+        seed=seed,
     )
     return network, Simulator(start_time=float(network.timestamp))
 

@@ -40,7 +40,7 @@ class TestRandomTopology:
     def test_every_leaf_reaches_every_leaf(self):
         """validate() guarantees structure; this guarantees usable paths."""
         topo = random_topology(24, seed=9)
-        network = ScionNetwork(topo, seed=9, verify_beacons=False)
+        network = ScionNetwork(topo, seed=9)
         leaves = sorted(
             (ia for ia in topo.ases if not topo.get(ia).is_core),
             key=str,

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.supervisor import Supervisor
 from repro.experiments.common import diamond_topology
+from repro.netsim.crucible import CrucibleWorld, generate_schedule
 from repro.scion.addr import IA
 from repro.scion.crypto.rsa import RsaKeyPair
 from repro.scion.network import ScionNetwork
@@ -194,6 +195,82 @@ class TestSignatureEnforcement:
         ).signed_by(net.signing_keys[ia])
         assert net.services[ia].path_server.revoke(stale, now=5.0) == 0
         assert net.registry.active_revocations() == []
+
+
+class TestRevocationCheck:
+    """``ScionNetwork.check_revocation``: freshness first, then signature."""
+
+    def _tokens(self, net):
+        ia, ifid, _ = _a_side(net)
+        t0 = float(net.timestamp)
+        token = Revocation(ia=ia, ifid=ifid, issued_at=t0, ttl_s=10.0)
+        return t0, token.signed_by(net.signing_keys[ia]), token.signed_by(
+            net.signing_keys[B]  # B cannot revoke A's interfaces
+        )
+
+    def test_fresh_genuine_token_accepted(self, diamond_network):
+        t0, genuine, _ = self._tokens(diamond_network)
+        assert diamond_network.check_revocation(genuine, t0 + 1.0) is None
+        assert diamond_network.check_revocation(genuine, None) is None
+
+    def test_genuine_token_past_its_ttl_is_replayed(self, diamond_network):
+        t0, genuine, _ = self._tokens(diamond_network)
+        assert diamond_network.check_revocation(genuine, t0 + 10.0) == (
+            "replayed"
+        )
+
+    def test_rogue_signed_fresh_token_is_forged(self, diamond_network):
+        t0, _, rogue = self._tokens(diamond_network)
+        assert diamond_network.check_revocation(rogue, t0 + 1.0) == "forged"
+        assert diamond_network.check_revocation(rogue, None) == "forged"
+
+    def test_stale_rogue_signed_token_is_replayed(self, diamond_network):
+        # Freshness is judged first, as the path server always has.
+        t0, _, rogue = self._tokens(diamond_network)
+        assert diamond_network.check_revocation(rogue, t0 + 60.0) == (
+            "replayed"
+        )
+
+
+class TestTrustRevocationsBug:
+    """``bug="trust-revocations"`` swaps in an accept-all check; the plain
+    world built from the same schedule keeps refusing both attacks."""
+
+    def _attack(self, bug):
+        world = CrucibleWorld(
+            generate_schedule(seed=3, topology="mesh5", n_faults=2), bug=bug
+        )
+        net = world.network
+        core = net.topology.core_ases()[0]
+        first, second = sorted(net.topology.get(core).interfaces)[:2]
+        daemon = next(iter(world.daemons.values()))
+        now = float(net.timestamp)
+        forged = world.adversary.forge_revocation(
+            core, first, now, daemon=daemon
+        )
+        replayed = world.adversary.replay_revocation(
+            core, second, now, daemon=daemon
+        )
+        stats = net.registry.stats
+        split = (
+            stats.revocations_rejected, stats.revocations_replayed,
+            daemon.stats.revocations_rejected,
+        )
+        return forged, replayed, split
+
+    def test_bug_world_accepts_both_attacks(self):
+        forged, replayed, split = self._attack("trust-revocations")
+        assert forged.succeeded and not forged.detected
+        assert replayed.succeeded and not replayed.detected
+        assert split == (0, 0, 0)
+
+    def test_plain_world_rejects_both_attacks(self):
+        forged, replayed, split = self._attack(None)
+        assert not forged.succeeded and forged.detected
+        assert not replayed.succeeded and replayed.detected
+        # Server: one forged, one replayed; daemon: the forgery only (it
+        # drops dead tokens before counting).
+        assert split == (1, 1, 1)
 
 
 def _run_until_serving(supervisor, name, start, step=0.5, limit=40):

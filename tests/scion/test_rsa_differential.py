@@ -144,7 +144,7 @@ class TestSigningMessage:
 
     def test_random_topology_stores(self):
         self._assert_every_index_matches(
-            ScionNetwork(random_topology(16, seed=3), seed=1, verify_beacons=False)
+            ScionNetwork(random_topology(16, seed=3), seed=1)
         )
 
     @given(st.data())
