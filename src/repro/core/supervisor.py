@@ -437,7 +437,7 @@ class Supervisor:
             stored = engine.down_stores[ia].select_all(
                 self.network.k_register, now=now
             )
-            for segment in stored:
+            for segment in map(engine.terminate, stored):
                 service.path_server.register_up(segment)
         self.stats.cold_restarts += 1
         return "cold", self.beacon_round_s

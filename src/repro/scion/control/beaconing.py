@@ -39,6 +39,10 @@ class BeaconStoreStats:
 class BeaconStore:
     """Per-AS store of received (terminated) beacons, grouped by origin.
 
+    A stored beacon's terminal entry is unsigned (``signature == 0``): the
+    storing AS signs it only when it registers the segment
+    (:meth:`BeaconingEngine.terminate`), as a SCION control service does.
+
     Lookups and inserts that carry a clock (``now``) purge beacons whose
     earliest hop field has expired — a store must never serve a segment
     the data plane would reject.
@@ -351,7 +355,9 @@ class BeaconingEngine:
                 )
             return False
         terminal = self._make_entry(receiver, ingress, 0, beacon.next_beta())
-        terminated = beacon.with_entry(terminal, self.signing_keys[receiver])
+        terminated = Beacon(
+            beacon.timestamp, beacon.seg_id, beacon.entries + (terminal,)
+        )
         if store.insert(terminated):
             self.stats.beacons_accepted += 1
             if parent_span is not None:
@@ -384,6 +390,17 @@ class BeaconingEngine:
             raise BeaconError(f"unknown receiver {receiver}")
         return self._receive(stores[receiver], receiver, ingress, beacon)
 
+    def terminate(self, stored: Beacon) -> Beacon:
+        """The segment a stored beacon registers as: its terminal entry
+        signed by the storing AS. Memoised on the (frozen) stored beacon, so
+        one stored beacon always yields the same signed object."""
+        signed = stored.__dict__.get("_terminated")
+        if signed is None:
+            signed = stored.__dict__["_terminated"] = stored.sign_last(
+                self.signing_keys[stored.terminal_ia]
+            )
+        return signed
+
     # -- propagation --------------------------------------------------------------
 
     def _extend_and_send(
@@ -401,19 +418,13 @@ class BeaconingEngine:
         self._sent.add(key)
         if iface.remote_ia in beacon.as_sequence()[:-1]:
             return False
-        prefix_entries = beacon.entries[:-1]
-        ingress = beacon.entries[-1].hop.cons_ingress
-        beta = (
-            prefix_entries[-1].hop.next_beta() if prefix_entries else beacon.seg_id
+        *prefix, terminal = beacon.entries
+        own = self._make_entry(
+            sender, terminal.hop.cons_ingress, iface.ifid, terminal.hop.beta
         )
-        stub = Beacon.__new__(Beacon)
-        object.__setattr__(stub, "timestamp", beacon.timestamp)
-        object.__setattr__(stub, "seg_id", beacon.seg_id)
-        object.__setattr__(stub, "entries", prefix_entries)
-        extended = stub.with_entry(
-            self._make_entry(sender, ingress, iface.ifid, beta),
-            self.signing_keys[sender],
-        )
+        extended = Beacon(
+            beacon.timestamp, beacon.seg_id, (*prefix, own)
+        ).sign_last(self.signing_keys[sender])
         self.stats.beacons_sent += 1
         root = None
         if self._tracer.enabled:

@@ -96,6 +96,26 @@ class ASEntry:
             "mtu": self.mtu,
         }
 
+    def payload_bytes(self) -> bytes:
+        """``canonical_bytes(self.payload())``, serialised once per (frozen)
+        entry: every later signing message and verification reuses it."""
+        cached = self.__dict__.get("_payload_bytes")
+        if cached is None:
+            cached = self.__dict__["_payload_bytes"] = canonical_bytes(
+                self.payload()
+            )
+        return cached
+
+    def signed_bytes(self) -> bytes:
+        """The entry as later prefixes carry it: the payload plus a
+        ``"signature"`` key, which sorts last. Memoised like the payload."""
+        cached = self.__dict__.get("_signed_bytes")
+        if cached is None:
+            cached = self.__dict__["_signed_bytes"] = b'%b,"signature":%b}' % (
+                self.payload_bytes()[:-1], canonical_bytes(self.signature)
+            )
+        return cached
+
 
 @dataclass(frozen=True)
 class Beacon:
@@ -165,20 +185,19 @@ class Beacon:
         entries (including their signatures) plus its own unsigned payload —
         ``canonical_bytes({"timestamp", "seg_id", "prefix": [...], "entry"})``.
 
-        Assembled from pieces so each entry is serialised once per call: keys
-        sort entry < prefix < seg_id < timestamp, and a signed entry is the
-        unsigned one plus a ``"signature"`` key, which sorts last.
+        Assembled from each entry's memoised bytes (:meth:`ASEntry.payload_bytes`,
+        :meth:`ASEntry.signed_bytes`): keys sort entry < prefix < seg_id <
+        timestamp.
         """
         tail = b"]," + canonical_bytes(
             {"seg_id": self.seg_id, "timestamp": self.timestamp}
         )[1:]
         prefix = b""
         for entry in self.entries:
-            own = canonical_bytes(entry.payload())
-            yield b'{"entry":%b,"prefix":[%b%b' % (own, prefix, tail)
-            signed = b'%b,"signature":%b}' % (
-                own[:-1], canonical_bytes(entry.signature)
+            yield b'{"entry":%b,"prefix":[%b%b' % (
+                entry.payload_bytes(), prefix, tail
             )
+            signed = entry.signed_bytes()
             prefix = prefix + b"," + signed if prefix else signed
 
     def _signing_message(self, upto: int) -> bytes:
@@ -191,10 +210,18 @@ class Beacon:
         signing_key: RsaKeyPair,
     ) -> "Beacon":
         """Append and sign an AS entry, returning the extended beacon."""
-        unsigned = Beacon(self.timestamp, self.seg_id, self.entries + (entry,))
-        message = unsigned._signing_message(len(unsigned.entries) - 1)
-        signed_entry = replace(entry, signature=sign(signing_key, message))
-        return Beacon(self.timestamp, self.seg_id, self.entries + (signed_entry,))
+        return Beacon(
+            self.timestamp, self.seg_id, self.entries + (entry,)
+        ).sign_last(signing_key)
+
+    def sign_last(self, signing_key: RsaKeyPair) -> "Beacon":
+        """This beacon with its last entry signed after its prefix."""
+        *prefix, last = self.entries
+        message = self._signing_message(len(prefix))
+        signed = replace(last, signature=sign(signing_key, message))
+        # The signature is not part of the payload: its bytes carry over.
+        signed.__dict__["_payload_bytes"] = last.payload_bytes()
+        return Beacon(self.timestamp, self.seg_id, (*prefix, signed))
 
     def verify(self, key_resolver: Callable[[IA], "RsaPublicKey"]) -> None:
         """Verify every entry's signature and the hop-field beta chain.
@@ -290,11 +317,7 @@ class Beacon:
             cons_ingress=0, cons_egress=egress_ifid, beta=seg_id,
         )
         entry = ASEntry(ia=ia, hop=hop, peers=peers, mtu=mtu)
-        stub = cls.__new__(cls)  # bypass the >=1-entry check for the seed
-        object.__setattr__(stub, "timestamp", timestamp)
-        object.__setattr__(stub, "seg_id", seg_id)
-        object.__setattr__(stub, "entries", ())
-        return stub.with_entry(entry, signing_key)
+        return cls(timestamp, seg_id, (entry,)).sign_last(signing_key)
 
     def next_beta(self) -> int:
         """Beta value the next appended entry must carry."""

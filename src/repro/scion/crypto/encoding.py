@@ -12,8 +12,13 @@ import json
 from typing import Any
 
 
+#: One encoder for every call: ``json.dumps`` with non-default arguments
+#: builds a fresh ``JSONEncoder`` each time.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True
+)
+
+
 def canonical_bytes(payload: Any) -> bytes:
     """Serialize a payload deterministically for signing/verification."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    ).encode("ascii")
+    return _ENCODER.encode(payload).encode("ascii")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -27,16 +28,15 @@ _SMALL_PRIMES: Tuple[int, ...] = tuple(
     p for p in range(2, 1000)
     if all(p % q for q in range(2, int(p ** 0.5) + 1))
 )
+_SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def _is_probable_prime(n: int, rng: random.Random, rounds: int = 24) -> bool:
-    if n < 2:
+    if n < 1000:
+        return n in _SMALL_PRIMES
+    # Trial division by every small prime at once.
+    if math.gcd(n, _SMALL_PRIMES_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -359,13 +359,13 @@ class ScionNetwork:
             service = self.services[ia]
             if topo.is_core:
                 stored = engine.core_stores[ia].select_all(self.k_register, now=now)
-                for segment in stored:
+                for segment in map(engine.terminate, stored):
                     self.registry.register_core(segment, now=now)
                     if tel.enabled:
                         _trace_register(segment, ia, "core")
             else:
                 stored = engine.down_stores[ia].select_all(self.k_register, now=now)
-                for segment in stored:
+                for segment in map(engine.terminate, stored):
                     service.path_server.register_up(segment)
                     self.registry.register_down(segment, now=now)
                     if tel.enabled:

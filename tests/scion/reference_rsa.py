@@ -3,6 +3,8 @@
 ``sign`` / ``verify`` are ``repro.scion.crypto.rsa`` as it stood before CRT
 signing and the public-exponentiation memo: one ``pow(m, d, n)`` per
 signature, one ``pow(s, e, n)`` per verification, nothing remembered.
+``is_probable_prime`` is keygen's primality test as it stood before trial
+division became one ``gcd``: a loop over the small primes.
 ``signing_message`` is ``Beacon._signing_message`` as it stood before it
 assembled the canonical JSON from per-entry pieces: the whole prefix rebuilt
 as dicts and serialised for every index.
@@ -15,10 +17,11 @@ one bit for bit.
 from __future__ import annotations
 
 import hashlib
+import random
 
 from repro.scion.control.segments import Beacon
 from repro.scion.crypto.encoding import canonical_bytes
-from repro.scion.crypto.rsa import RsaKeyPair, RsaPublicKey
+from repro.scion.crypto.rsa import _SMALL_PRIMES, RsaKeyPair, RsaPublicKey
 
 
 def _encode_digest(message: bytes, n: int) -> int:
@@ -42,6 +45,33 @@ def verify(key: RsaPublicKey, message: bytes, signature: int) -> bool:
     except ValueError:
         return False
     return pow(signature, key.e, key.n) == expected
+
+
+def is_probable_prime(n: int, rng: random.Random, rounds: int = 24) -> bool:
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def signing_message(beacon: Beacon, upto: int) -> bytes:

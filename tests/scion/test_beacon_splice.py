@@ -36,14 +36,16 @@ def resolver(sciera_world):
 
 @pytest.fixture(scope="module")
 def siblings(sciera_world, resolver):
-    """Two stored beacons of one origin and length with different prefixes."""
-    for store in sciera_world.network.beaconing.down_stores.values():
+    """Two stored beacons of one origin and length with different prefixes,
+    with their terminal entries signed as at registration."""
+    engine = sciera_world.network.beaconing
+    for store in engine.down_stores.values():
         for origin in store.origins():
             beacons = [b for b in store.beacons_from(origin) if len(b) >= 3]
             for a in beacons:
                 for b in beacons:
                     if len(a) == len(b) and a.entries[:-1] != b.entries[:-1]:
-                        return a, b
+                        return engine.terminate(a), engine.terminate(b)
     raise AssertionError("no sibling beacons in the SCIERA stores")
 
 

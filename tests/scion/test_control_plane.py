@@ -64,7 +64,7 @@ class TestBeaconing:
         )
         for store in net.beaconing.down_stores.values():
             for beacon in store.all_beacons():
-                beacon.verify(resolver)
+                net.beaconing.terminate(beacon).verify(resolver)
 
     def test_tampered_beacon_rejected(self, diamond_network):
         net = diamond_network
