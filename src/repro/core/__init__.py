@@ -1,9 +1,11 @@
 """The paper's contribution: scaling the SCIERA deployment.
 
-Deployment strategy and effort (Figure 3), the SCION Orchestrator
-(Section 4.4), monitoring/alerting, the operator survey (Section 5.6), the
-no-commercial-transit path policy (Section 4.9), and ISD evolution
-planning (Section 3.3).
+Deployment strategy and effort (Figure 3), monitoring/alerting, the
+operator survey (Section 5.6), the no-commercial-transit path policy
+(Section 4.9), and the control-plane supervisor.  The SCION Orchestrator's
+jobs (Section 4.4) are done by :class:`Supervisor` (certificate
+auto-renewal, restarts), :func:`repro.obs.health.build_health_report` (the
+status page) and :class:`repro.obs.events.EventLog` (the logs).
 """
 
 from repro.core.deployment import (
@@ -12,11 +14,9 @@ from repro.core.deployment import (
     EffortModel,
     learning_curve,
 )
-from repro.core.orchestrator import Orchestrator, AsSetupReport
 from repro.core.monitoring import ConnectivityMonitor, Alert
 from repro.core.survey import OPERATOR_SURVEY, SurveyAnalysis
 from repro.core.policy import ScieraTransitPolicy
-from repro.core.isd_evolution import IsdSplitPlan, plan_regional_isds
 from repro.core.retry import RetryError, RetryOutcome, RetryPolicy, RetrySchedule
 from repro.core.supervisor import (
     ServiceState,
@@ -30,15 +30,11 @@ __all__ = [
     "DeploymentRecord",
     "EffortModel",
     "learning_curve",
-    "Orchestrator",
-    "AsSetupReport",
     "ConnectivityMonitor",
     "Alert",
     "OPERATOR_SURVEY",
     "SurveyAnalysis",
     "ScieraTransitPolicy",
-    "IsdSplitPlan",
-    "plan_regional_isds",
     "RetryError",
     "RetryOutcome",
     "RetryPolicy",

@@ -53,14 +53,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.obs import CounterBackedStats, Telemetry, resolve
 
 
-class OverloadError(Exception):
+class OverloadError(ReproError):
     """Raised for invalid overload-control configuration."""
 
 
-class OverloadRejected(Exception):
+class OverloadRejected(ReproError):
     """A request was refused by admission control (shed or rejected).
 
     ``transient`` marks the refusal retry-worthy *in principle* — the

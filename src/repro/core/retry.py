@@ -20,8 +20,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from repro.errors import ReproError
 
-class RetryError(Exception):
+
+class RetryError(ReproError):
     """Raised by :meth:`RetryPolicy.run` when every attempt failed.
 
     ``last`` carries the final underlying exception; ``attempts`` says how
@@ -93,10 +95,11 @@ class RetryPolicy:
     ) -> "RetryOutcome":
         """Call ``fn`` under this policy; convenience for non-latency callers.
 
-        ``fn`` raising an exception for which ``retryable`` returns True
-        triggers a backoff and another attempt; a non-retryable exception
-        propagates immediately.  Exceptions may carry a ``cost_s`` float
-        attribute which is charged against the deadline budget.
+        ``fn`` raising a :class:`~repro.errors.ReproError` for which
+        ``retryable`` returns True triggers a backoff and another attempt; a
+        non-retryable one, or any other exception, propagates immediately.
+        Exceptions may carry a ``cost_s`` float attribute which is charged
+        against the deadline budget.
         """
         schedule = self.schedule()
         failures: List[str] = []
@@ -104,7 +107,7 @@ class RetryPolicy:
         while True:
             try:
                 value = fn()
-            except Exception as exc:  # noqa: BLE001 — classified below
+            except ReproError as exc:  # classified below
                 if not retryable(exc):
                     raise
                 last = exc

@@ -32,18 +32,18 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.retry import RetryError, RetryPolicy
+from repro.errors import ReproError
 from repro.obs import Telemetry, register_stats_collector, resolve
 from repro.scion.addr import IA
-from repro.scion.crypto.ca import DEFAULT_RENEWAL_FRACTION
 from repro.scion.network import ScionNetwork
 from repro.scion.revocation import Revocation
 
 
-class SupervisorError(Exception):
+class SupervisorError(ReproError):
     """Raised for unknown services or invalid supervisor operations."""
 
 
-class CaUnavailable(Exception):
+class CaUnavailable(ReproError):
     """The supervised CA is down; renewals retry with backoff.
 
     ``transient`` marks this retry-worthy for :class:`RetryPolicy`.
@@ -112,7 +112,7 @@ class RenewalRecord:
     detail: str = ""
 
 
-#: Default restart discipline: detect, back off briefly, restart.
+#: Restart discipline: detect, back off briefly, restart.
 DEFAULT_RESTART_POLICY = RetryPolicy(
     max_attempts=4, base_delay_s=0.2, max_delay_s=2.0, seed=0x5047
 )
@@ -147,11 +147,9 @@ class Supervisor:
         check_interval_s: float = 0.5,
         checkpoint_interval_s: float = 2.0,
         warm_restart: bool = True,
-        restart_policy: RetryPolicy = DEFAULT_RESTART_POLICY,
         renewal_policy: RetryPolicy = DEFAULT_RENEWAL_POLICY,
         beacon_round_s: float = 0.25,
         warm_restore_s: float = 0.05,
-        renewal_fraction: float = DEFAULT_RENEWAL_FRACTION,
         event_sink: Optional[Callable[[float, str, str, str], None]] = None,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -163,11 +161,9 @@ class Supervisor:
         self.check_interval_s = check_interval_s
         self.checkpoint_interval_s = checkpoint_interval_s
         self.warm_restart = warm_restart
-        self.restart_policy = restart_policy
         self.renewal_policy = renewal_policy
         self.beacon_round_s = beacon_round_s
         self.warm_restore_s = warm_restore_s
-        self.renewal_fraction = renewal_fraction
         tel = resolve(
             telemetry if telemetry is not None
             else getattr(network, "telemetry", None)
@@ -372,8 +368,8 @@ class Supervisor:
     def _restart_backoff_s(self, rec: ServiceRecord) -> float:
         """Deterministic backoff before restarting a detected crash."""
         policy = dataclasses.replace(
-            self.restart_policy,
-            seed=self.restart_policy.seed + 1009 * self.stats.crashes
+            DEFAULT_RESTART_POLICY,
+            seed=DEFAULT_RESTART_POLICY.seed + 1009 * self.stats.crashes
             + len(rec.name),
         )
         backoff = policy.schedule().next_backoff_s()
@@ -483,7 +479,7 @@ class Supervisor:
         for ia, service in sorted(self.network.services.items()):
             ca = self.cas[ia.isd]
             cert = service.certificate.certificate
-            if not ca.needs_renewal(cert, now, self.renewal_fraction):
+            if not ca.needs_renewal(cert, now):
                 continue
             self._renew(ia, now)
 

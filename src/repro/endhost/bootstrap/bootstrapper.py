@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.overload import CircuitBreaker, RetryBudget
 from repro.core.retry import RetryPolicy
+from repro.errors import ReproError
 from repro.obs import Telemetry, resolve
 from repro.endhost.bootstrap.hinting import (
     Hint,
@@ -30,7 +31,7 @@ from repro.scion.crypto.trc import Trc, TrcError, verify_trc_chain
 from repro.scion.dataplane.underlay import IntraAsNetwork
 
 
-class BootstrapError(Exception):
+class BootstrapError(ReproError):
     """Raised when no mechanism yields a hint or validation fails."""
 
 
@@ -197,7 +198,7 @@ class Bootstrapper:
         try:
             document = server.get_topology()
             trcs = server.get_trcs()
-        except Exception as exc:
+        except ReproError as exc:
             # Server-side refusals and injected outages are transport
             # failures: the time was spent even though nothing came back.
             raise TransientBootstrapError(

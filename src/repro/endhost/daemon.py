@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.overload import OverloadRejected
+from repro.errors import ReproError
 from repro.obs import CounterBackedStats, Telemetry, resolve
 from repro.scion.addr import IA
 from repro.scion.control.path_server import RevocationCheck
 from repro.scion.control.service import TrustStore
-from repro.scion.crypto.trc import Trc
 from repro.scion.network import ScionNetwork
 from repro.scion.path import PathMeta
 from repro.scion.revocation import Revocation
@@ -209,7 +209,7 @@ class Daemon:
                 # stale (below), never retrying into the brownout.
                 self.stats.inc("rejected_overload")
                 paths = []
-            except Exception:
+            except ReproError:
                 paths = []
             if paths:
                 if cached is not None:
@@ -396,6 +396,3 @@ class Daemon:
     @property
     def down_interfaces(self) -> List[str]:
         return sorted(self._down_interfaces)
-
-    def trcs(self, isd: int) -> List[Trc]:
-        return self.trust_store.chain(isd)

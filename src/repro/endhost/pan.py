@@ -28,6 +28,7 @@ from repro.endhost.bootstrap.bootstrapper import (
 )
 from repro.endhost.daemon import Daemon
 from repro.endhost.policy import LowestLatencyPolicy, PathPolicy, ShortestPolicy
+from repro.errors import ReproError
 from repro.obs import NOOP_TELEMETRY, Telemetry
 from repro.scion.addr import HostAddr, IA
 from repro.scion.dataplane.underlay import IntraAsNetwork
@@ -37,7 +38,7 @@ from repro.scion.path import PathMeta
 from repro.scion.revocation import Revocation
 
 
-class PanError(Exception):
+class PanError(ReproError):
     """Raised for unusable destinations, unbound ports, or setup failures."""
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 import abc
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import ReproError
 from repro.scion.addr import IA, AddrError
 from repro.scion.path import PathMeta
 
 
-class PolicyError(Exception):
+class PolicyError(ReproError):
     """Raised for malformed policy expressions."""
 
 

@@ -34,13 +34,6 @@ def get_world() -> ScieraWorld:
     return _WORLD
 
 
-def reset_world() -> None:
-    """Drop all caches (tests that mutate link state call this)."""
-    global _WORLD
-    _WORLD = None
-    _CAMPAIGNS.clear()
-
-
 def get_campaign(fast: bool = True) -> CampaignDataset:
     """The shared measurement campaign dataset."""
     if fast not in _CAMPAIGNS:

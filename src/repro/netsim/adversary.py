@@ -32,6 +32,7 @@ from typing import List, Optional, Set
 
 import random
 
+from repro.errors import ReproError
 from repro.scion.addr import IA
 from repro.scion.control.segments import Beacon
 from repro.scion.crypto.keys import SymmetricKey
@@ -41,7 +42,7 @@ from repro.scion.revocation import DEFAULT_REVOCATION_TTL_S, Revocation
 from repro.scion.dataplane.router import MAX_HOP_LIFETIME_S
 
 
-class AdversaryError(Exception):
+class AdversaryError(ReproError):
     """Raised when an attack cannot even be mounted (missing surface)."""
 
 

@@ -27,15 +27,16 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Protocol, Tuple, Type, Union
 
+from repro.errors import ReproError
 from repro.netsim.failures import FailureSchedule, LinkEvent
 from repro.netsim.link import Link
 
 
-class ChaosError(Exception):
+class ChaosError(ReproError):
     """Raised for invalid chaos configuration."""
 
 
-class ServerOutage(Exception):
+class ServerOutage(ReproError):
     """A wrapped server refused a request (injected outage).
 
     ``transient`` marks this as a retry-worthy transport failure for
@@ -45,7 +46,7 @@ class ServerOutage(Exception):
     transient = True
 
 
-class CaOutage(Exception):
+class CaOutage(ReproError):
     """A wrapped certificate authority refused an issuance request.
 
     Transient: certificate renewals back off and retry (the paper's §4.5

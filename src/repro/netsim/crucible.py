@@ -55,6 +55,7 @@ from repro.core.overload import CircuitBreaker, OverloadGuard, OverloadRejected
 from repro.core.supervisor import Supervisor
 from repro.core.monitoring import ConnectivityMonitor
 from repro.endhost.daemon import Daemon
+from repro.errors import ReproError
 from repro.netsim.adversary import ByzantineAdversary
 from repro.netsim.chaos import FaultInjector, FaultProfile, LoadSurge
 from repro.netsim.invariants import InvariantChecker, Violation
@@ -69,7 +70,7 @@ from repro.scion.topology import (
 )
 
 
-class CrucibleError(Exception):
+class CrucibleError(ReproError):
     """Raised for invalid schedules, artifacts, or shrink requests."""
 
 

@@ -10,7 +10,7 @@ expresses such timelines as declarative schedules applied to named links.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.netsim.link import Link
 from repro.netsim.simulator import Simulator
@@ -81,14 +81,6 @@ class FailureSchedule:
             if repair_s <= time_s:
                 raise ValueError("repair must come after the cut")
             self.add_event(LinkEvent(repair_s, link_name, up=True, reason="repaired"))
-
-    def link_names(self) -> Set[str]:
-        """Every link this schedule will ever touch.
-
-        Measurement layers use this to decide which links need a reverse
-        index entry before any event fires.
-        """
-        return {event.link_name for event in self._events}
 
     def subscribe(self, observer: Callable[[LinkEvent], None]) -> None:
         self._observers.append(observer)

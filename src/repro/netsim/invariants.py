@@ -77,11 +77,6 @@ class InvariantChecker:
         self.violations: List[Violation] = []
         self.checks_run = 0
 
-    def add(self, invariant: Invariant) -> None:
-        if any(inv.name == invariant.name for inv in self.invariants):
-            raise ValueError(f"invariant {invariant.name!r} already registered")
-        self.invariants.append(invariant)
-
     def _run(self, kind: str, world: object, now: float) -> List[Violation]:
         found: List[Violation] = []
         for inv in self.invariants:
@@ -99,16 +94,6 @@ class InvariantChecker:
 
     def check_eventually(self, world: object, now: float) -> List[Violation]:
         return self._run(EVENTUALLY, world, now)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def violated_names(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for violation in self.violations:
-            seen.setdefault(violation.invariant, None)
-        return list(seen)
 
     def scoreboard(self) -> Dict[str, int]:
         """invariant name -> violation count, zeros included (all-green

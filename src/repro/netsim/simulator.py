@@ -34,8 +34,10 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
+from repro.errors import ReproError
 
-class SimulationError(Exception):
+
+class SimulationError(ReproError):
     """Raised for invalid simulator operations (e.g. scheduling in the past)."""
 
 

@@ -8,11 +8,9 @@ Two migration patterns, chosen per class by hot-path cost:
   dataplane/control-plane stats (``RouterStats``, ``DataPathStats``,
   ``RegistryStats``, ``DaemonStats``).
 * :func:`register_stats_collector` — a pull-style collector snapshots a
-  plain dataclass's numeric fields into gauges at export time.  Used for
-  stats whose increment sites are too hot or too numerous to route through
-  an instrument (``BeaconingStats``, ``SupervisorStats``, ``LinkStats``,
-  ``CampaignStats``, ...): their ``+=`` hot paths stay byte-identical and
-  the registry still exports them with labels.
+  plain dataclass's numeric fields into gauges at export time.  Only
+  ``SupervisorStats`` uses it: its ``+=`` increment sites stay plain and
+  the registry still exports the fields with labels.
 
 Both directions share the **reset convention**: every stats object exposes
 ``reset()`` that zeroes its counters, so an experiment reusing a component

@@ -19,10 +19,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.endhost.pan import PanContext, ScionSocket, SendResult
 from repro.endhost.policy import PathPolicy, policy_from_commandline
+from repro.errors import ReproError
 from repro.scion.addr import AddrError, HostAddr
 
 
-class AppError(Exception):
+class AppError(ReproError):
     """Raised for malformed URLs or unreachable services."""
 
 

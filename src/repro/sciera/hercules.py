@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
 from repro.scion.addr import IA
 from repro.scion.dataplane.dispatcher import EndHostDataPathModel
 from repro.scion.network import ScionNetwork
@@ -26,7 +27,7 @@ from repro.scion.path import PathMeta
 PACKET_BYTES = 1400
 
 
-class HerculesError(Exception):
+class HerculesError(ReproError):
     """Raised for impossible transfers (no paths, zero size)."""
 
 

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.endhost.policy import LowestLatencyPolicy, PathPolicy
+from repro.errors import ReproError
 from repro.scion.addr import HostAddr, IA
 from repro.scion.network import ScionNetwork
 from repro.scion.path import PathMeta
 
 
-class SigError(Exception):
+class SigError(ReproError):
     """Raised for unroutable prefixes or misconfigured gateways."""
 
 

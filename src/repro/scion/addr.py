@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import Union
 
+from repro.errors import ReproError
+
 MAX_ISD = (1 << 16) - 1
 MAX_AS = (1 << 48) - 1
 MAX_BGP_AS = (1 << 32) - 1
@@ -30,7 +32,7 @@ _AS_HEX_RE = re.compile(rf"^({_AS_HEX_GROUP}):({_AS_HEX_GROUP}):({_AS_HEX_GROUP}
 _IA_RE = re.compile(r"^(\d+)-(.+)$")
 
 
-class AddrError(ValueError):
+class AddrError(ReproError, ValueError):
     """Raised for malformed ISD/AS/IA strings or out-of-range values."""
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
 from repro.scion.addr import IA
 from repro.scion.control.segments import Beacon
 from repro.scion.path import (
@@ -50,7 +51,7 @@ Segments = Tuple[PathSegmentHops, ...]
 Run = Tuple[Segments, KeyHead]
 
 
-class CombinatorError(Exception):
+class CombinatorError(ReproError):
     """Raised for invalid combination requests."""
 
 

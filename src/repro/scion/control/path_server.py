@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
+from repro.errors import ReproError
 from repro.obs import CounterBackedStats, Telemetry, resolve
 from repro.scion.addr import IA
 from repro.scion.control.segments import Beacon, SegmentType
@@ -37,7 +38,7 @@ REMOTE_ISD_RTT_S = 0.080
 RevocationCheck = Callable[[Revocation, Optional[float]], Optional[str]]
 
 
-class PathServerError(Exception):
+class PathServerError(ReproError):
     """Raised for invalid registrations or lookups."""
 
 

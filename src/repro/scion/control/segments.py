@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
 from repro.scion.addr import IA
 from repro.scion.crypto.cppki import Certificate, CertificateError, verify_chain
 from repro.scion.crypto.encoding import canonical_bytes
@@ -35,7 +36,7 @@ from repro.scion.path import (
 )
 
 
-class BeaconError(Exception):
+class BeaconError(ReproError):
     """Raised when a beacon fails verification or is malformed."""
 
 
@@ -151,8 +152,8 @@ class Beacon:
         sort on the fingerprint, propagation dedups on it, and path-server
         registries bucket by it, so each beacon used to pay the O(hops)
         sha256 on every store/select/propagate.  The cache can never go
-        stale — the dataclass is frozen and ``with_entry`` extends by
-        returning a *new* beacon (with a cold cache of its own).
+        stale — the dataclass is frozen and extending a beacon builds
+        a *new* one (with a cold cache of its own).
         """
         cached = self.__dict__.get("_fp")
         if cached is None:
@@ -203,16 +204,6 @@ class Beacon:
     def _signing_message(self, upto: int) -> bytes:
         """Message signed by the AS at index ``upto``."""
         return next(islice(self._signing_messages(), upto, None))
-
-    def with_entry(
-        self,
-        entry: ASEntry,
-        signing_key: RsaKeyPair,
-    ) -> "Beacon":
-        """Append and sign an AS entry, returning the extended beacon."""
-        return Beacon(
-            self.timestamp, self.seg_id, self.entries + (entry,)
-        ).sign_last(signing_key)
 
     def sign_last(self, signing_key: RsaKeyPair) -> "Beacon":
         """This beacon with its last entry signed after its prefix."""

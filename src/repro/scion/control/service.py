@@ -102,9 +102,6 @@ class TrustStore:
         """Whether a rollover grace window is currently open for ``isd``."""
         return len(self.verifying_trcs(isd, now)) > 1
 
-    def isds(self) -> List[int]:
-        return sorted(self._chains)
-
 
 @dataclass
 class ControlService:
@@ -120,9 +117,6 @@ class ControlService:
     @property
     def ia(self) -> IA:
         return self.topology.ia
-
-    def certificate_expires_at(self) -> float:
-        return self.certificate.certificate.not_after
 
     def renew_certificate(self, ca: CaService, now: float) -> IssuedCertificate:
         """Renew this AS's certificate through the ISD CA (Section 4.5)."""

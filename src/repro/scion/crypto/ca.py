@@ -4,8 +4,7 @@ Section 4.5 of the paper: the open-source SCION stack lacked a CA that
 interoperated with both Anapaya's CORE and the open-source control plane,
 so the authors built one on the smallstep framework. This module models
 that CA: it issues short-lived AS certificates (days), supports renewal
-ahead of expiry, and records issuance history so the orchestrator's status
-dashboard can show certificate health.
+ahead of expiry, and records issuance history.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class CaService:
         self.guard = guard
         self._serial = 0
         self.issued: List[Certificate] = []
-        #: subject -> latest certificate, for the status dashboard
+        #: subject -> latest certificate, the one :meth:`renew` re-issues
         self.latest: Dict[str, IssuedCertificate] = {}
 
     def issue_as_certificate(
@@ -102,13 +101,10 @@ class CaService:
         self.latest[subject_ia] = issued
         return issued
 
-    def needs_renewal(
-        self, cert: Certificate, now: float,
-        renewal_fraction: float = DEFAULT_RENEWAL_FRACTION,
-    ) -> bool:
+    def needs_renewal(self, cert: Certificate, now: float) -> bool:
         """Whether a certificate is within its renewal window (or expired)."""
         lifetime = cert.not_after - cert.not_before
-        return now >= cert.not_after - lifetime * renewal_fraction
+        return now >= cert.not_after - lifetime * DEFAULT_RENEWAL_FRACTION
 
     def renew(
         self,

@@ -13,12 +13,13 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from repro.errors import ReproError
 from repro.scion.crypto.encoding import canonical_bytes
 from repro.scion.crypto.rsa import RsaKeyPair, RsaPublicKey, sign, verify
 from repro.scion.crypto.trc import Trc
 
 
-class CertificateError(Exception):
+class CertificateError(ReproError):
     """Raised when a certificate or a chain fails validation."""
 
 

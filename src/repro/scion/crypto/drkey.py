@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.scion.crypto.keys import SymmetricKey
 
 
-class DrkeyError(Exception):
+class DrkeyError(ReproError):
     """Raised for epoch mismatches or malformed requests."""
 
 

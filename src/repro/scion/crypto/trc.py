@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from repro.errors import ReproError
 from repro.scion.crypto.encoding import canonical_bytes
 from repro.scion.crypto.rsa import RsaKeyPair, RsaPublicKey, sign, verify
 
 
-class TrcError(Exception):
+class TrcError(ReproError):
     """Raised when a TRC or a TRC update fails validation."""
 
 

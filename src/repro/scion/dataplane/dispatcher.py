@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.errors import ReproError
 from repro.netsim.simulator import Simulator
 from repro.obs import CounterBackedStats, Telemetry, resolve
 
 
-class DispatcherError(Exception):
+class DispatcherError(ReproError):
     """Raised for invalid registrations (e.g. duplicate ports)."""
 
 

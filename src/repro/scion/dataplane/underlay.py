@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.errors import ReproError
 
-class UnderlayError(Exception):
+
+class UnderlayError(ReproError):
     """Raised for unknown hosts/segments or address collisions."""
 
 

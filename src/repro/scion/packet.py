@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
+from repro.errors import ReproError
 from repro.scion.addr import IA, HostAddr
 from repro.scion.crypto.mac import MAC_LEN
 from repro.scion.path import (
@@ -33,7 +34,7 @@ from repro.scion.path import (
 )
 
 
-class PacketError(Exception):
+class PacketError(ReproError):
     """Raised when encoding or decoding a packet fails."""
 
 
@@ -87,14 +88,6 @@ class ScionPacket:
     payload: bytes = b""
     kind: int = KIND_UDP
     curr_hop: int = 0
-
-    def current(self) -> Tuple[HopField, InfoField]:
-        hops = self.path.hops()
-        if not (0 <= self.curr_hop < len(hops)):
-            raise PacketError(
-                f"hop pointer {self.curr_hop} out of range [0, {len(hops)})"
-            )
-        return hops[self.curr_hop]
 
     def size_bytes(self) -> int:
         """The length of :meth:`encode`'s output, without encoding."""

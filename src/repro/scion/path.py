@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
 from repro.scion.addr import IA
 from repro.scion.crypto.keys import SymmetricKey
 from repro.scion.crypto.mac import chain_beta, hop_mac, verify_hop_mac
@@ -43,7 +44,7 @@ from repro.scion.crypto.mac import chain_beta, hop_mac, verify_hop_mac
 DEFAULT_HOP_EXPIRY_S = 24 * 3600
 
 
-class PathError(Exception):
+class PathError(ReproError):
     """Raised for malformed or inconsistent paths."""
 
 

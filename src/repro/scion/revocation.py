@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.errors import ReproError
 from repro.scion.addr import IA, AddrError
 from repro.scion.crypto.encoding import canonical_bytes
 from repro.scion.crypto.rsa import RsaKeyPair, RsaPublicKey, sign, verify
@@ -32,7 +33,7 @@ from repro.scion.scmp import CODE_UNKNOWN_PATH_INTERFACE, ScmpMessage, ScmpType
 DEFAULT_REVOCATION_TTL_S = 10.0
 
 
-class RevocationError(ValueError):
+class RevocationError(ReproError, ValueError):
     """Raised for malformed revocation tokens."""
 
 

@@ -13,6 +13,8 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import ReproError
+
 
 class ScmpType(enum.Enum):
     ECHO_REQUEST = 128
@@ -36,7 +38,7 @@ CODE_QUEUE_FULL = 7
 _HEADER = struct.Struct("!BBHHQ")  # type, code, identifier, sequence, info
 
 
-class ScmpDecodeError(ValueError):
+class ScmpDecodeError(ReproError, ValueError):
     """Raised for truncated or garbage SCMP wire data.
 
     Corruption faults (chaos layer) can hand the decoder arbitrary bytes;

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.netsim.geo import GeoPoint
 from repro.netsim.link import Link
 from repro.scion.addr import IA
@@ -32,7 +33,7 @@ class LinkType(enum.Enum):
     PEER = "peer"          # lateral peering
 
 
-class TopologyError(Exception):
+class TopologyError(ReproError):
     """Raised for inconsistent topology construction or lookups."""
 
 

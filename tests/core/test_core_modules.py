@@ -1,5 +1,5 @@
-"""Tests for the core package: deployment, orchestrator, monitoring,
-survey, transit policy, ISD evolution."""
+"""Tests for the core package: deployment, monitoring, survey, transit
+policy."""
 
 import pytest
 
@@ -9,9 +9,7 @@ from repro.core.deployment import (
     EffortModel,
     learning_curve,
 )
-from repro.core.isd_evolution import plan_regional_isds
 from repro.core.monitoring import ConnectivityMonitor
-from repro.core.orchestrator import Orchestrator, SetupStep
 from repro.core.policy import ScieraTransitPolicy
 from repro.core.survey import OPERATOR_SURVEY, SurveyAnalysis
 from repro.netsim.simulator import Simulator
@@ -58,43 +56,6 @@ class TestDeploymentEffort:
     def test_invalid_experience_factor(self):
         with pytest.raises(ValueError):
             EffortModel(experience_factor=0.0)
-
-
-class TestOrchestrator:
-    def test_orchestrated_setup_hours_not_days(self, world):
-        orchestrator = Orchestrator(world.network, IA.parse("71-2:0:42"))
-        plan = orchestrator.plan_setup(orchestrated=True)
-        manual = orchestrator.plan_setup(orchestrated=False)
-        assert plan.total_hours < 8          # "a few hours"
-        assert manual.total_days > 2         # "from days"
-        assert len(plan.steps) == len(SetupStep)
-
-    def test_certificates_never_expire_under_auto_renewal(self, world):
-        orchestrator = Orchestrator(world.network, IA.parse("71-2:0:49"))
-        sim = Simulator(start_time=world.network.timestamp)
-        orchestrator.start_auto_renewal(sim)
-        horizon = sim.now + 30 * 24 * 3600.0
-        step = 6 * 3600.0
-        t = sim.now
-        while t < horizon:
-            t += step
-            sim.run(until=t)
-            assert orchestrator.certificate_healthy(t), f"expired at {t}"
-        orchestrator.stop_auto_renewal()
-        # 3-day certs renewed at 2/3 lifetime => ~15 renewals in 30 days.
-        assert orchestrator.renewals_performed >= 10
-        assert orchestrator.recent_logs(level="info")
-
-    def test_status_dashboard_reflects_link_state(self, world):
-        orchestrator = Orchestrator(world.network, IA.parse("71-2:0:5c"))
-        now = world.network.timestamp
-        assert orchestrator.unhealthy(now) == []
-        world.network.set_link_state("ufms-rnp-1", False)
-        try:
-            unhealthy = orchestrator.unhealthy(now)
-            assert any("ufms-rnp-1" in s.name for s in unhealthy)
-        finally:
-            world.network.set_link_state("ufms-rnp-1", True)
 
 
 class TestMonitoring:
@@ -288,29 +249,3 @@ class TestTransitPolicy:
             for meta in net.paths(IA.parse(src), IA.parse(dst)):
                 assert policy.evaluate(meta.as_sequence).permitted
 
-
-class TestIsdEvolution:
-    def test_regional_split_covers_members(self, world):
-        plan = plan_regional_isds(world.network.topology)
-        all_members = [m for isd in plan.regional_isds for m in isd.members]
-        isd71 = [str(ia) for ia in world.network.topology.ases if ia.isd == 71]
-        assert sorted(all_members) == sorted(isd71)
-
-    def test_every_regional_isd_has_a_core(self, world):
-        plan = plan_regional_isds(world.network.topology)
-        for isd in plan.regional_isds:
-            assert isd.core_ases
-            for core in isd.core_ases:
-                assert core in isd.members
-
-    def test_fault_isolation_improves(self, world):
-        plan = plan_regional_isds(world.network.topology)
-        assert plan.fault_isolation_before == pytest.approx(0.0)
-        assert plan.fault_isolation_after > 0.4
-        assert plan.isolation_gain > 0.4
-
-    def test_migration_steps_ordered(self, world):
-        plan = plan_regional_isds(world.network.topology)
-        orders = [s.order for s in plan.migration_steps]
-        assert orders == sorted(orders)
-        assert any("base TRC" in s.description for s in plan.migration_steps)

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.retry import RetryError, RetryPolicy, RetrySchedule
+from repro.errors import ReproError
 
 
-class TransientFailure(Exception):
+class TransientFailure(ReproError):
     def __init__(self, message="boom", cost_s=0.0):
         super().__init__(message)
         self.cost_s = cost_s

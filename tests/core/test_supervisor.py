@@ -252,6 +252,23 @@ class TestCertificateRenewal:
         assert supervisor.stats.renewal_attempts > supervisor.stats.renewals
         assert service.certificate_healthy(t)
 
+    def test_certificates_never_expire_over_30_days(self):
+        """Auto-renewal (§4.5: lifetimes of days) keeps every AS certified
+        for a month of 6-hourly health checks with nobody stepping in."""
+        network = _network()
+        supervisor = _supervisor(network)
+        t = float(network.timestamp)
+        horizon = t + 30 * 24 * 3600.0
+        while t < horizon:
+            t += 6 * 3600.0
+            supervisor.tick(t)
+            health = supervisor.certificate_health(t)
+            assert all(health.values()), f"expired at {t}: {health}"
+        # 3-day certs renewed at 2/3 lifetime => ~15 renewals per AS.
+        for ia in network.services:
+            renewed = [r for r in supervisor.renewal_log if r.ia == ia]
+            assert len(renewed) >= 10 and all(r.ok for r in renewed)
+
     def test_certificate_health_feed(self):
         network = _network()
         supervisor = _supervisor(network)

@@ -14,10 +14,11 @@ from repro.endhost.bootstrap import (
     TransientBootstrapError,
 )
 from repro.endhost.daemon import Daemon
-from repro.endhost.pan import HostRegistry, PanContext, ScionHost
+from repro.endhost.pan import AppLibraryMode, HostRegistry, PanContext, ScionHost
 from repro.endhost.policy import LowestLatencyPolicy
 from repro.netsim.chaos import FaultInjector, FaultProfile
 from repro.scion.addr import HostAddr, IA
+from repro.scion.control.path_server import PathServerError
 
 A = IA.parse("71-100")
 B = IA.parse("71-200")
@@ -137,7 +138,7 @@ class TestDaemonResilience:
 
         def fetch(dst):
             calls.append(dst)
-            raise ConnectionError("control plane unreachable")
+            raise PathServerError("control plane unreachable")
 
         daemon = Daemon(diamond_network, A, fetch=fetch)
         assert daemon.lookup(B, now=0.0) == []
@@ -153,7 +154,7 @@ class TestDaemonResilience:
 
         def fetch(dst):
             if fail:
-                raise ConnectionError("refresh failed")
+                raise PathServerError("refresh failed")
             return list(real[0])
 
         daemon = Daemon(diamond_network, A, cache_ttl_s=10.0, fetch=fetch)
@@ -170,6 +171,38 @@ class TestDaemonResilience:
         healed = daemon.lookup(B, now=40.0)
         assert healed and not any(m.stale for m in healed)
         assert daemon.stats.refreshes == 1
+
+    def test_path_server_error_degrades_to_stale(
+        self, diamond_network, monkeypatch
+    ):
+        daemon = Daemon(diamond_network, A, cache_ttl_s=10.0)
+        fresh = daemon.lookup(B, now=0.0)
+        assert fresh
+
+        def refuse(*args, **kwargs):
+            raise PathServerError("path server unavailable")
+
+        monkeypatch.setattr(diamond_network, "paths", refuse)
+        stale = daemon.lookup(B, now=20.0)
+        assert [m.fingerprint for m in stale] == [m.fingerprint for m in fresh]
+        assert all(m.stale for m in stale)
+        assert daemon.stats.failed_fetches == 1
+        assert daemon.stats.stale_served == 1
+
+    def test_programming_error_on_lookup_path_propagates(
+        self, diamond_network, monkeypatch
+    ):
+        """A bug is not a failed fetch: it must not be served as stale."""
+        daemon = Daemon(diamond_network, A, cache_ttl_s=10.0)
+        assert daemon.lookup(B, now=0.0)
+
+        def broken(*args, **kwargs):
+            raise AttributeError("'NoneType' object has no attribute 'up'")
+
+        monkeypatch.setattr(diamond_network, "paths", broken)
+        with pytest.raises(AttributeError):
+            daemon.lookup(B, now=20.0)
+        assert daemon.stats.stale_served == 0
 
     def test_stats_invariant(self, diamond_network):
         daemon = Daemon(diamond_network, A, cache_ttl_s=10.0)
@@ -253,3 +286,49 @@ class TestPanFailover:
             assert delivered >= 19  # at most one 50ms retry window lost
         finally:
             restore()
+
+    def test_daemonless_revocation_evicts_library_cache(
+        self, fresh_diamond_network
+    ):
+        """Without a daemon, the revocation a failed probe carries is applied
+        to the library's own path cache: every cached path over the revoked
+        interface goes, and the next send does not try one."""
+        network = fresh_diamond_network
+        registry = HostRegistry()
+        server = make_server(network, "10.0.1.1")
+        env = NetworkEnvironment(has_dns_search_domain=True)
+        env.advertise_everywhere(server.ip, server.port)
+        bootstrapper = Bootstrapper(
+            env, {(server.ip, server.port): server}, rng=random.Random(2)
+        )
+        host_a = ScionHost(network, A, "10.0.1.10", registry,
+                           bootstrapper=bootstrapper)
+        host_b = ScionHost(network, B, "10.0.2.20", registry,
+                           daemon=Daemon(network, B))
+        PanContext(host_b).open_socket(8080).on_message(
+            lambda p, s, pa: b"ok"
+        )
+        context = PanContext(host_a)
+        assert context.ensure_ready() is AppLibraryMode.STANDALONE
+        client = context.open_socket()
+        dst = HostAddr(B, host_b.ip, 8080)
+        policy = LowestLatencyPolicy()
+        warm = client.send_with_failover(dst, b"warm", policy=policy, now=0.5)
+        assert warm.success and warm.paths_tried == 1
+        cached = context.paths(B)
+        network.set_link_state("a-c2", False)
+        revoked = network.dataplane.probe(warm.path.path, 1.0).revocation
+        assert revoked is not None
+        crossing = [m for m in cached if revoked.key in m.interfaces]
+        assert crossing and len(crossing) < len(cached)
+        result = client.send_with_failover(dst, b"ping", policy=policy,
+                                           now=1.0)
+        assert result.success and result.paths_tried > 1
+        kept = context.paths(B)
+        assert [m.fingerprint for m in kept] == [
+            m.fingerprint for m in cached if m not in crossing
+        ]
+        again = client.send_with_failover(dst, b"ping", policy=policy,
+                                          now=1.5)
+        assert again.success and again.paths_tried == 1
+        assert revoked.key not in again.path.interfaces

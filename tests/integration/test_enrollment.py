@@ -8,7 +8,8 @@ reachable, authenticated participants.
 
 import pytest
 
-from repro.core.orchestrator import Orchestrator
+from repro.core.supervisor import Supervisor
+from repro.obs.health import build_health_report
 from repro.scion.addr import IA
 from repro.scion.topology import TopologyError
 from repro.sciera.build import build_sciera
@@ -67,12 +68,17 @@ class TestEnrollment:
         assert before <= after  # nothing lost by growing the network
 
     def test_enrolled_as_is_orchestratable(self, world):
+        """The Orchestrator's jobs (§4.4) cover a new AS at once: the status
+        page stays green and knows the AS, and its certificate is healthy."""
         network = world.network
         cern = IA.parse("71-513")
         network.enroll_as(cern, [(IA.parse("71-20965"), 0.001)], name="CERN")
-        orchestrator = Orchestrator(network, cern)
-        assert orchestrator.plan_setup().total_hours < 8
-        assert orchestrator.unhealthy(network.timestamp) == []
+        now = network.timestamp
+        supervisor = Supervisor(network)
+        report = build_health_report(network, now, supervisor=supervisor)
+        assert report.healthy
+        assert report.beacon_freshness_s[str(cern)] is not None
+        assert supervisor.certificate_health(now)[cern]
 
     def test_duplicate_enrollment_rejected(self, world):
         with pytest.raises(TopologyError, match="already enrolled"):

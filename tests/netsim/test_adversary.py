@@ -5,12 +5,15 @@ are patched open (``tests/reference_arms.gates_open``; the shipped classes
 have no switch for it) — proof the gate is what stops it.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.overload import OverloadGuard
 from repro.endhost.daemon import Daemon
 from repro.netsim.adversary import ByzantineAdversary
 from repro.netsim.crucible import TOPOLOGIES, CrucibleWorld, generate_schedule
+from repro.netsim.invariants import check_forged_beacon_never_stored
 from repro.obs import Telemetry
 from repro.scion.crypto.keys import SymmetricKey
 from repro.scion.network import ScionNetwork
@@ -80,6 +83,29 @@ class TestBeaconAttacks:
                 _leaves(network)[0], float(network.timestamp)
             )
         assert outcome.succeeded
+
+    def test_stored_beacon_invariant_holds_after_rejected_attacks(self, world):
+        network, adversary, _ = world
+        now = float(network.timestamp)
+        victim = _leaves(network)[0]
+        adversary.forge_beacon(victim, now)
+        adversary.replay_beacon(victim, now + 0.1)
+        assert adversary.forged_beacon_signatures
+        assert adversary.replayed_beacon_signatures
+        view = SimpleNamespace(network=network, adversary=adversary)
+        assert check_forged_beacon_never_stored(view, now + 0.2) is None
+
+    def test_stored_beacon_invariant_flags_a_stored_forgery(self, world):
+        network, adversary, _ = world
+        now = float(network.timestamp)
+        with gates_open(network):
+            outcome = adversary.forge_beacon(_leaves(network)[0], now)
+        assert outcome.succeeded  # the forged PCB sits in a beacon store
+        view = SimpleNamespace(network=network, adversary=adversary)
+        violation = check_forged_beacon_never_stored(view, now)
+        assert violation is not None
+        assert violation.startswith("forged beacon claiming origin")
+        assert violation.endswith("is stored in the control plane")
 
 
 class TestRevocationAttacks:

@@ -114,14 +114,3 @@ class TestAppsEndToEnd:
         for entry in enablement_report():
             assert entry.lines_of_code < 20, entry.application
 
-
-class TestExperimentsCommon:
-    def test_reset_world_drops_caches(self):
-        from repro.experiments import common
-
-        first = common.get_world()
-        assert common.get_world() is first
-        common.reset_world()
-        second = common.get_world()
-        assert second is not first
-        # Leave a fresh world cached for any later test in the session.

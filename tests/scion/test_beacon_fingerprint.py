@@ -3,8 +3,8 @@
 The fingerprint is the identity key for beacon stores, propagation dedup,
 and path-server registries, so the memo must be byte-identical to the
 uncached computation for every beacon a real network mints — and a
-beacon extended with :meth:`Beacon.with_entry` must get a fresh value,
-not its parent's cache.
+beacon extended by one signed entry must get a fresh value, not its
+parent's cache.
 """
 
 from repro.netsim.crucible import TOPOLOGIES
@@ -46,7 +46,9 @@ class TestFingerprintMemo:
             terminal_ia, beacon.entries[-1].hop.cons_ingress, 7,
             beacon.next_beta(),
         )
-        extended = beacon.with_entry(entry, engine.signing_keys[terminal_ia])
+        extended = type(beacon)(
+            beacon.timestamp, beacon.seg_id, beacon.entries + (entry,)
+        ).sign_last(engine.signing_keys[terminal_ia])
         assert extended.interface_fingerprint() != parent_fp
         assert (extended.interface_fingerprint()
                 == extended._build_interface_fingerprint())

@@ -25,9 +25,10 @@ def make_beacon(origin_asn: int, hop_path):
             IA(71, asn), KEY, TS, cons_ingress=ingress,
             cons_egress=egress, beta=beta,
         )
-        beacon = beacon.with_entry(
-            ASEntry(ia=IA(71, asn), hop=hop), SIGNER
-        )
+        beacon = Beacon(
+            beacon.timestamp, beacon.seg_id,
+            beacon.entries + (ASEntry(ia=IA(71, asn), hop=hop),),
+        ).sign_last(SIGNER)
         beta = beacon.entries[-1].hop.next_beta()
     return beacon
 

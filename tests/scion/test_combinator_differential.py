@@ -325,9 +325,10 @@ class TestMemoisedEqualsFresh:
         beacon.interface_fingerprint()
         assert {"_views", "_fp"} <= set(beacon.__dict__)
         last = beacon.entries[-1]
-        extended = beacon.with_entry(
-            ASEntry(ia=last.ia, hop=last.hop), net.signing_keys[leaf]
-        )
+        extended = Beacon(
+            beacon.timestamp, beacon.seg_id,
+            beacon.entries + (ASEntry(ia=last.ia, hop=last.hop),),
+        ).sign_last(net.signing_keys[leaf])
         assert not {"_views", "_fp"} & set(extended.__dict__)
         assert len(extended.to_hops(True).hops) == len(beacon.to_hops(True).hops) + 1
         assert extended.interface_fingerprint() != beacon.interface_fingerprint()

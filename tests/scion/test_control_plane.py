@@ -90,10 +90,11 @@ class TestBeaconing:
         beacon = net.services[A].path_server.up_segments[0]
         mallory = RsaKeyPair.generate(seed=666)
         # Re-sign the last entry with a key that is not certified.
-        stub = Beacon(beacon.timestamp, beacon.seg_id, beacon.entries[:-1])
-        forged = stub.with_entry(
-            dataclasses.replace(beacon.entries[-1], signature=0), mallory
-        )
+        forged = Beacon(
+            beacon.timestamp, beacon.seg_id,
+            beacon.entries[:-1]
+            + (dataclasses.replace(beacon.entries[-1], signature=0),),
+        ).sign_last(mallory)
         with pytest.raises(BeaconError, match="bad signature"):
             forged.verify(resolver)
 
