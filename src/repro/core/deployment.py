@@ -119,36 +119,25 @@ class EffortModel:
     deployments of the same kind (the Section 5.3 learning curve).
     """
 
-    def __init__(
-        self,
-        hardware_cost: float = 3.0,
-        circuit_cost_per_party: float = 0.9,
-        reuse_discount: float = 0.35,
-        configuration_cost: float = 1.0,
-        experience_factor: float = 0.82,
-        floor: float = 0.8,
-    ):
-        if not (0 < experience_factor <= 1):
-            raise ValueError("experience_factor must be in (0, 1]")
-        self.hardware_cost = hardware_cost
-        self.circuit_cost_per_party = circuit_cost_per_party
-        self.reuse_discount = reuse_discount
-        self.configuration_cost = configuration_cost
-        self.experience_factor = experience_factor
-        self.floor = floor
+    HARDWARE_COST = 3.0
+    CIRCUIT_COST_PER_PARTY = 0.9
+    REUSE_DISCOUNT = 0.35
+    CONFIGURATION_COST = 1.0
+    EXPERIENCE_FACTOR = 0.82
+    FLOOR = 0.8
 
     def predict(
         self, record: DeploymentRecord, prior_same_kind: int
     ) -> float:
-        effort = self.configuration_cost
+        effort = self.CONFIGURATION_COST
         if record.new_hardware:
-            effort += self.hardware_cost
-        circuits = self.circuit_cost_per_party * record.vlan_parties
+            effort += self.HARDWARE_COST
+        circuits = self.CIRCUIT_COST_PER_PARTY * record.vlan_parties
         if record.reused_circuits:
-            circuits *= self.reuse_discount
+            circuits *= self.REUSE_DISCOUNT
         effort += circuits
-        effort *= self.experience_factor ** prior_same_kind
-        return max(self.floor, effort)
+        effort *= self.EXPERIENCE_FACTOR ** prior_same_kind
+        return max(self.FLOOR, effort)
 
     def predict_timeline(
         self, timeline: Sequence[DeploymentRecord] = DEPLOYMENT_TIMELINE

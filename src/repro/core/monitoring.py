@@ -10,7 +10,7 @@ status page.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.netsim.simulator import Simulator
 from repro.obs import Telemetry, resolve
@@ -36,6 +36,8 @@ class ConnectivityMonitor:
     default of 1 preserves immediate alerting; under chaos-style probe
     loss, operators raise it so a single lossy round does not page anyone.
     Restores are never damped — good news is always delivered at once.
+    Every alert is addressed to the target AS's NOC,
+    ``noc@<ISD-AS with '-' for ':'>.example.net``.
     """
 
     def __init__(
@@ -44,7 +46,6 @@ class ConnectivityMonitor:
         vantage: IA,
         targets: Sequence[IA],
         probe_interval_s: float = 60.0,
-        operator_emails: Optional[Dict[str, str]] = None,
         flap_damping_rounds: int = 1,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -56,7 +57,6 @@ class ConnectivityMonitor:
         self.vantage = vantage
         self.targets = [ia for ia in targets if ia != vantage]
         self.probe_interval_s = probe_interval_s
-        self.operator_emails = operator_emails or {}
         self.flap_damping_rounds = flap_damping_rounds
         self.alerts: List[Alert] = []
         self.probes_sent = 0
@@ -125,15 +125,12 @@ class ConnectivityMonitor:
         self._timer = sim.schedule(self.probe_interval_s, self._probe_round, sim)
 
     def _emit(self, now: float, kind: str, target: IA) -> None:
-        email = self.operator_emails.get(
-            str(target), f"noc@{str(target).replace(':', '-')}.example.net"
-        )
         alert = Alert(
             time_s=now,
             kind=kind,
             src=str(self.vantage),
             dst=str(target),
-            email_to=email,
+            email_to=f"noc@{str(target).replace(':', '-')}.example.net",
             detail=f"probed every {self.probe_interval_s:.0f}s from {self.vantage}",
         )
         self.alerts.append(alert)

@@ -41,9 +41,9 @@ Everything is observable: admission verdicts, shed counts (by priority),
 queue depth and delay, breaker transitions, and budget exhaustion flow
 through the ``obs`` registry when a :class:`~repro.obs.Telemetry` is
 attached, so a status page can report OVERLOADED before anything is DOWN.
-All components are strictly opt-in (``guard=None`` everywhere), so legacy
-experiments and their seeded digests are byte-identical unless a caller
-wires a guard in.
+All components are strictly opt-in (``.guard`` is None until a caller
+assigns one), so legacy experiments and their seeded digests are
+byte-identical unless a caller wires a guard in.
 """
 
 from __future__ import annotations

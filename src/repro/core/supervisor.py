@@ -265,7 +265,6 @@ class Supervisor:
         server that is down keeps its last good snapshot — checkpointing a
         crashed service would overwrite it with the wiped state.
         """
-        engine = self.network.beaconing
         previous = self._checkpoint["path_servers"] if self._checkpoint else {}
         path_servers = {}
         for ia, service in self.network.services.items():
@@ -275,7 +274,7 @@ class Supervisor:
                 path_servers[ia] = previous[ia]
         self._checkpoint = {
             "time_s": now,
-            "beacons": engine.snapshot_stores() if engine is not None else None,
+            "beacons": self.network.beaconing.snapshot_stores(),
             "registry": self.network.registry.snapshot(),
             "path_servers": path_servers,
         }
@@ -305,9 +304,7 @@ class Supervisor:
         if flight is not None:
             flight.trigger(now, "supervisor", "service-crash", name)
         if rec.kind == "control":
-            engine = self.network.beaconing
-            if engine is not None:
-                engine.clear_stores()
+            self.network.beaconing.clear_stores()
             self.network.registry.clear()
             for service in self.network.services.values():
                 service.path_server.clear()
@@ -393,9 +390,7 @@ class Supervisor:
     def _restart_control(self, now: float) -> tuple:
         if self.warm_restart and self._checkpoint is not None:
             cp = self._checkpoint
-            engine = self.network.beaconing
-            if engine is not None and cp["beacons"] is not None:
-                engine.restore_stores(cp["beacons"])
+            self.network.beaconing.restore_stores(cp["beacons"])
             self.network.registry.restore(cp["registry"])
             for ia, snapshot in cp["path_servers"].items():
                 service = self.network.services.get(ia)
@@ -429,9 +424,9 @@ class Supervisor:
             return "warm", self.warm_restore_s
         # Cold: re-register up segments from the beaconing engine's store.
         engine = self.network.beaconing
-        if engine is not None and not self.network.topology.get(ia).is_core:
+        if not self.network.topology.get(ia).is_core:
             stored = engine.down_stores[ia].select_all(
-                self.network.k_register, now=now
+                self.network.K_REGISTER, now=now
             )
             for segment in map(engine.terminate, stored):
                 service.path_server.register_up(segment)
@@ -524,9 +519,9 @@ class Supervisor:
         )
         return True
 
-    def certificate_health(self, now: float, margin_s: float = 0.0) -> Dict[IA, bool]:
+    def certificate_health(self, now: float) -> Dict[IA, bool]:
         """Per-AS certificate health (the orchestrator dashboard feed)."""
         return {
-            ia: service.certificate_healthy(now, margin_s)
+            ia: service.certificate_healthy(now)
             for ia, service in sorted(self.network.services.items())
         }

@@ -23,7 +23,7 @@ every percentage quoted in the paper falls out of the analysis exactly
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,10 @@ OPERATOR_SURVEY: Tuple[SurveyRespondent, ...] = (
 
 
 class SurveyAnalysis:
-    """Summary statistics over a set of respondents."""
+    """Summary statistics over the operator survey."""
 
-    def __init__(self, respondents: Sequence[SurveyRespondent] = OPERATOR_SURVEY):
-        if not respondents:
-            raise ValueError("survey needs at least one respondent")
-        self.respondents = list(respondents)
-        self.n = len(self.respondents)
+    respondents = OPERATOR_SURVEY
+    n = len(OPERATOR_SURVEY)
 
     def _pct(self, predicate) -> float:
         return 100.0 * sum(1 for r in self.respondents if predicate(r)) / self.n
@@ -110,8 +107,8 @@ class SurveyAnalysis:
 
     # -- CAPEX ------------------------------------------------------------------------
 
-    def pct_hardware_below(self, usd: int = 20_000) -> float:
-        return self._pct(lambda r: r.hardware_cost_usd < usd)
+    def pct_hardware_below_20k(self) -> float:
+        return self._pct(lambda r: r.hardware_cost_usd < 20_000)
 
     def pct_no_license_cost(self) -> float:
         return self._pct(lambda r: r.license_cost_usd == 0)
@@ -137,11 +134,11 @@ class SurveyAnalysis:
             for driver in drivers
         }
 
-    def pct_workload_below(self, pct: float = 10.0) -> float:
-        return self._pct(lambda r: r.workload_share_pct < pct)
+    def pct_workload_below_10(self) -> float:
+        return self._pct(lambda r: r.workload_share_pct < 10.0)
 
-    def pct_vendor_contacts_below(self, per_year: int = 3) -> float:
-        return self._pct(lambda r: r.vendor_contacts_per_year < per_year)
+    def pct_vendor_contacts_below_3(self) -> float:
+        return self._pct(lambda r: r.vendor_contacts_per_year < 3)
 
     # -- headline ----------------------------------------------------------------------
 
@@ -153,10 +150,10 @@ class SurveyAnalysis:
             "setup_up_to_six_months": self.pct_setup_up_to_six_months(),
             "deployed_without_vendor_support":
                 self.pct_deployed_without_vendor_support(),
-            "hardware_below_20k": self.pct_hardware_below(20_000),
+            "hardware_below_20k": self.pct_hardware_below_20k(),
             "no_license_cost": self.pct_no_license_cost(),
             "no_extra_hiring": self.pct_no_extra_hiring(),
             "opex_comparable_or_lower": self.pct_opex_comparable_or_lower(),
-            "workload_below_10pct": self.pct_workload_below(10.0),
-            "vendor_contacts_below_3": self.pct_vendor_contacts_below(3),
+            "workload_below_10pct": self.pct_workload_below_10(),
+            "vendor_contacts_below_3": self.pct_vendor_contacts_below_3(),
         }

@@ -71,11 +71,11 @@ class BootstrapServer:
         ip: str = "",
         port: int = DEFAULT_PORT,
         dispatcherless: bool = True,
-        processing_s: float = 0.002,
     ):
         self.ip = ip or topology.control_address
         self.port = port
-        self.processing_s = processing_s
+        #: Time to serve one discovery request.
+        self.processing_s = 0.002
         self._trcs = list(trcs)
         self.requests_served = 0
         unsigned = TopologyDocument(

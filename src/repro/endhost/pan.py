@@ -135,9 +135,9 @@ class ScionHost:
 class PanContext:
     """Per-application library instance with automatic mode fallback."""
 
-    def __init__(self, host: ScionHost, default_policy: Optional[PathPolicy] = None):
+    def __init__(self, host: ScionHost):
         self.host = host
-        self.default_policy = default_policy or LowestLatencyPolicy()
+        self.default_policy = LowestLatencyPolicy()
         self.mode: Optional[AppLibraryMode] = None
         self.setup_latency_s = 0.0
         self._own_cache: Dict[IA, List[PathMeta]] = {}

@@ -310,32 +310,6 @@ def run_storms(fast: bool = True, seed: int = 17) -> Dict[str, object]:
     }
 
 
-def telemetry_snapshot(seed: int = 17) -> Dict[str, object]:
-    """One protected surge slice with full telemetry: the obs/ demo.
-
-    Runs the protected stack through a short storm with a live
-    :class:`~repro.obs.Telemetry`, so every admission verdict, shed count,
-    breaker transition, and budget token flows into ONE metrics registry,
-    and returns the Prometheus export plus a mid-surge health report whose
-    status is OVERLOADED (everything is up — just saturated).
-    """
-    from repro.obs import Telemetry
-
-    tel = Telemetry()
-    network = ScionNetwork(diamond_topology(), seed=seed, telemetry=tel)
-    network.services[A].path_server.segments_for(B, now=0.0)
-    outcome = _run_storm(
-        network, _storm(1.0, 4.0, seed), duration_s=6.0, telemetry=tel
-    )
-    return {
-        "outcome": outcome,
-        "prometheus": tel.metrics.prometheus_text(),
-        "metrics_json": tel.metrics.to_json(),
-        "health_status": outcome.health_status,
-        "overloaded_services": outcome.overloaded_services,
-    }
-
-
 def run(fast: bool = True, seed: int = 17) -> ExperimentResult:
     data = run_storms(fast=fast, seed=seed)
     protected: StackOutcome = data["protected"]

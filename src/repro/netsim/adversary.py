@@ -69,7 +69,6 @@ class AttackOutcome:
 
 class ByzantineAdversary:
     """A rogue AS with its own keys, clock, and attack budget.
-
     The adversary can observe public material (topology, certificates,
     honestly signed tokens it captured earlier) but holds **no** honest
     private key: its signing key pair is freshly generated and anchored in
@@ -83,7 +82,6 @@ class ByzantineAdversary:
         self,
         network,
         seed: int = 0,
-        rogue_ia: Optional[IA] = None,
         event_log=None,
     ):
         self.network = network
@@ -91,13 +89,6 @@ class ByzantineAdversary:
         #: Private randomness — never the chaos injector's stream.
         self.rng = random.Random(f"adversary:{seed}")
         self.event_log = event_log
-        if rogue_ia is None:
-            ases = sorted(network.topology.ases)
-            non_core = [
-                ia for ia in ases if not network.topology.get(ia).is_core
-            ]
-            rogue_ia = (non_core or ases)[-1]
-        self.rogue_ia = rogue_ia
         #: The rogue's own key material: syntactically valid, anchored in
         #: nothing the honest network trusts.
         self.rogue_signing = RsaKeyPair.generate(
@@ -166,15 +157,6 @@ class ByzantineAdversary:
 
     # -- shared helpers ------------------------------------------------------------
 
-    def _engine(self):
-        engine = self.network.beaconing
-        if engine is None:
-            raise AdversaryError(
-                "no beaconing engine to attack (network built with "
-                "run_beaconing=False)"
-            )
-        return engine
-
     def _origin_and_egress(self, exclude: IA) -> "tuple[IA, int]":
         """A core AS to impersonate (not ``exclude``) and one real egress
         interface of it — forged beacons mimic plausible honest shape."""
@@ -204,7 +186,7 @@ class ByzantineAdversary:
         interface, intact beta chain) — only the signature gives it away,
         which is exactly what the hardened engine checks.
         """
-        engine = self._engine()
+        engine = self.network.beaconing
         origin, egress = self._origin_and_egress(exclude=victim)
         forged = Beacon.originate(
             origin, self.rogue_forwarding, self.rogue_signing,
@@ -224,18 +206,16 @@ class ByzantineAdversary:
             detail=f"rogue-signed PCB impersonating {origin}",
         )
 
-    def replay_beacon(
-        self, victim: IA, now: float, age_s: float = 7200.0,
-    ) -> AttackOutcome:
-        """Replay an honestly signed but stale PCB captured ``age_s`` ago.
+    def replay_beacon(self, victim: IA, now: float) -> AttackOutcome:
+        """Replay an honestly signed but stale PCB captured two hours ago.
 
         Every signature verifies — only the freshness bound can stop it.
         Resurrecting withdrawn topology is the payoff: paths over links the
         network has since abandoned.
         """
-        engine = self._engine()
+        engine = self.network.beaconing
         origin, egress = self._origin_and_egress(exclude=victim)
-        stale_ts = max(0, int(now - age_s))
+        stale_ts = max(0, int(now - 7200.0))
         captured = Beacon.originate(
             origin,
             self.network.forwarding_keys[origin],
@@ -265,7 +245,6 @@ class ByzantineAdversary:
         now: float,
         path_server=None,
         daemon=None,
-        sign_with_rogue_key: bool = True,
     ) -> AttackOutcome:
         """Claim ``ia``'s interface ``ifid`` died — without ``ia``'s key.
 
@@ -274,9 +253,7 @@ class ByzantineAdversary:
         """
         token = Revocation(
             ia=ia, ifid=ifid, issued_at=now, reason="interface-down",
-        )
-        if sign_with_rogue_key:
-            token = token.signed_by(self.rogue_signing)
+        ).signed_by(self.rogue_signing)
         self.forged_revocations.append(token)
         server = (
             path_server
@@ -305,10 +282,7 @@ class ByzantineAdversary:
             now, "forge-revocation", token.key,
             succeeded=(quarantined > 0 or accepted or daemon_marked),
             detected=rejected_after > rejected_before,
-            detail=(
-                "rogue-signed revocation" if sign_with_rogue_key
-                else "unsigned revocation"
-            ),
+            detail="rogue-signed revocation",
         )
 
     def replay_revocation(
@@ -318,14 +292,14 @@ class ByzantineAdversary:
         now: float,
         path_server=None,
         daemon=None,
-        staleness_s: float = 3 * DEFAULT_REVOCATION_TTL_S,
     ) -> AttackOutcome:
         """Replay a *genuine* captured revocation long past its TTL.
 
-        The signature verifies — the token really was issued by ``ia`` —
-        but the network has healed since.  Accepting it re-suppresses a
-        healthy link with dead evidence.
+        The token was issued three TTLs ago.  The signature verifies — the
+        token really was issued by ``ia`` — but the network has healed
+        since.  Accepting it re-suppresses a healthy link with dead evidence.
         """
+        staleness_s = 3 * DEFAULT_REVOCATION_TTL_S
         token = Revocation(
             ia=ia, ifid=ifid, issued_at=now - staleness_s,
             reason="interface-down",
@@ -452,14 +426,15 @@ class ByzantineAdversary:
         self,
         lightning_filter,
         now: float,
-        src_ia: str = "66-6:0:bad",
         packets: int = 500,
     ) -> AttackOutcome:
-        """Spoofed-source packet flood against the Science-DMZ filter.
+        """Spoofed-source packet flood (from ``66-6:0:bad``) against the
+        Science-DMZ filter.
 
         The attacker holds no DRKey, so every tag is garbage; success is
         any spoofed packet reaching the DMZ.
         """
+        src_ia = "66-6:0:bad"
         bad_tag = b"\x00" * 16
         accepted_before = lightning_filter.stats.accepted
         rejected_before = (

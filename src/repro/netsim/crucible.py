@@ -106,6 +106,10 @@ TICK_S = 0.5
 #: Short TTLs so revocation quarantine and down-marks heal within a run.
 REVOCATION_TTL_S = 2.0
 DAEMON_CACHE_TTL_S = 1.0
+#: Fault-free tail of a generated schedule, for the eventually-invariants.
+SETTLE_S = 5.0
+#: Schedule runs one shrink may spend.
+MAX_SHRINK_RUNS = 64
 
 
 # -- schedules ---------------------------------------------------------------------
@@ -185,7 +189,6 @@ def generate_schedule(
     topology: str = "mesh5",
     n_faults: int = 4,
     duration_s: float = 8.0,
-    settle_s: float = 5.0,
     kinds: Tuple[str, ...] = FAULT_KINDS,
     ensure_kind: Optional[str] = None,
 ) -> Schedule:
@@ -235,7 +238,7 @@ def generate_schedule(
         topology=topology,
         seed=seed,
         duration_s=duration_s,
-        settle_s=settle_s,
+        settle_s=SETTLE_S,
         faults=tuple(faults),
     )
 
@@ -245,7 +248,6 @@ def generate_adversarial_schedule(
     topology: str = "mesh5",
     n_faults: int = 5,
     duration_s: float = 8.0,
-    settle_s: float = 5.0,
     ensure_kind: Optional[str] = None,
 ) -> Schedule:
     """A composite schedule mixing benign chaos with Byzantine attacks.
@@ -261,7 +263,6 @@ def generate_adversarial_schedule(
         topology=topology,
         n_faults=n_faults,
         duration_s=duration_s,
-        settle_s=settle_s,
         kinds=ALL_FAULT_KINDS,
         ensure_kind=ensure_kind,
     )
@@ -275,7 +276,6 @@ def generate_adversarial_schedule(
             topology=topology,
             n_faults=n_faults,
             duration_s=duration_s,
-            settle_s=settle_s,
             kinds=ALL_FAULT_KINDS,
             ensure_kind=ADVERSARY_KINDS[seed % len(ADVERSARY_KINDS)],
         )
@@ -897,7 +897,6 @@ def shrink_schedule(
     schedule: Schedule,
     bug: Optional[str] = None,
     target: Optional[Tuple[str, ...]] = None,
-    max_runs: int = 64,
 ) -> ShrinkResult:
     """ddmin the fault list to a minimal subsequence that still violates.
 
@@ -926,11 +925,11 @@ def shrink_schedule(
 
     faults = list(schedule.faults)
     granularity = 2
-    while len(faults) >= 2 and runs < max_runs:
+    while len(faults) >= 2 and runs < MAX_SHRINK_RUNS:
         chunk = math.ceil(len(faults) / granularity)
         reduced = None
         for start in range(0, len(faults), chunk):
-            if runs >= max_runs:
+            if runs >= MAX_SHRINK_RUNS:
                 break
             complement = faults[:start] + faults[start + chunk:]
             if complement and violates(complement):

@@ -24,6 +24,10 @@ DEFAULT_ROUTE_FACTOR = 1.6
 
 EARTH_RADIUS_KM = 6371.0
 
+#: Floor for co-located endpoints (same metro): cross-connects inside a data
+#: center still take ~0.2 ms through gear.
+MIN_DELAY_S = 0.0002
+
 
 @dataclass(frozen=True)
 class GeoPoint:
@@ -47,17 +51,13 @@ def propagation_delay_s(
     a: GeoPoint,
     b: GeoPoint,
     route_factor: float = DEFAULT_ROUTE_FACTOR,
-    min_delay_s: float = 0.0002,
 ) -> float:
-    """One-way propagation delay between two points, in seconds.
-
-    ``min_delay_s`` floors the delay for co-located endpoints (same metro,
-    cross-connects inside a data center still take ~0.2 ms through gear).
-    """
+    """One-way propagation delay between two points, in seconds, at least
+    :data:`MIN_DELAY_S`."""
     if route_factor < 1.0:
         raise ValueError(f"route_factor must be >= 1.0, got {route_factor}")
     dist = haversine_km(a, b) * route_factor
-    return max(min_delay_s, dist / FIBER_SPEED_KM_S)
+    return max(MIN_DELAY_S, dist / FIBER_SPEED_KM_S)
 
 
 # Coordinates for every city hosting a SCIERA PoP or participant (Table 1 and

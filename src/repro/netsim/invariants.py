@@ -308,10 +308,9 @@ def _stored_beacons(network):
         for bucket in table.values():
             yield from bucket.values()
     engine = network.beaconing
-    if engine is not None:
-        for stores in (engine.core_stores, engine.down_stores):
-            for store in stores.values():
-                yield from store.all_beacons()
+    for stores in (engine.core_stores, engine.down_stores):
+        for store in stores.values():
+            yield from store.all_beacons()
     for _, service in sorted(network.services.items()):
         yield from service.path_server.up_segments
 

@@ -77,10 +77,6 @@ class IpInternet:
                              link_name=link_name or f"ip:{a}--{b}")
         self._route_cache.clear()
 
-    @property
-    def nodes(self) -> List[str]:
-        return list(self._graph.nodes)
-
     # -- failure state ---------------------------------------------------------
 
     def set_link_state(self, a: str, b: str, up: bool) -> None:

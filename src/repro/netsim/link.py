@@ -1,17 +1,16 @@
 """Point-to-point link model.
 
 A link connects two named endpoints and carries frames with a propagation
-delay, a serialization delay derived from bandwidth, an optional random loss
-probability, and an up/down state toggled by failure schedules. Links are
-bidirectional; both directions share state and capacity accounting is per
-direction.
+delay and an up/down state toggled by failure schedules. Loss, delay and
+duplication come only through the fault seam (:meth:`Link.add_fault`).
+Links are bidirectional; both directions share state and transmitter
+accounting is per direction.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.netsim.simulator import Simulator
 
@@ -37,12 +36,7 @@ class Link:
         Endpoint identifiers (opaque to the link; typically ISD-AS strings
         or router ids).
     latency_s:
-        One-way propagation delay.
-    bandwidth_bps:
-        Capacity per direction; ``None`` means serialization delay is zero
-        (useful for control-plane-only simulations).
-    loss:
-        Independent per-frame loss probability in [0, 1).
+        One-way propagation delay.  Frames take no serialization time.
     """
 
     def __init__(
@@ -51,30 +45,19 @@ class Link:
         a: Any,
         b: Any,
         latency_s: float,
-        bandwidth_bps: Optional[float] = None,
-        loss: float = 0.0,
-        rng: Optional[random.Random] = None,
     ):
         if latency_s < 0:
             raise ValueError(f"latency must be non-negative, got {latency_s}")
-        if not (0.0 <= loss < 1.0):
-            raise ValueError(f"loss must be in [0, 1), got {loss}")
         self.name = name
         self.a = a
         self.b = b
         self.latency_s = latency_s
-        self.bandwidth_bps = bandwidth_bps
-        self.loss = loss
         self.up = True
         #: Registered faults, oldest first (see :meth:`add_fault`).
         self._faults: dict = {}
         self.stats = LinkStats()
-        self._rng = rng or random.Random(0xC1E2A)
         # Time at which each direction's transmitter becomes free.
         self._tx_free_at = {a: 0.0, b: 0.0}
-
-    def endpoints(self) -> Tuple[Any, Any]:
-        return (self.a, self.b)
 
     def other(self, endpoint: Any) -> Any:
         if endpoint == self.a:
@@ -120,9 +103,8 @@ class Link:
     ) -> None:
         """Send a frame from ``sender``; call ``deliver`` at the far end.
 
-        Serialization is modeled with a per-direction transmitter that frames
-        queue behind (FIFO), so sustained sends above capacity build delay
-        rather than disappearing.
+        Each direction's transmitter sends frames in FIFO order: a frame
+        leaves no earlier than the one before it.
         """
         if sender not in self._tx_free_at:
             raise ValueError(f"{sender!r} is not an endpoint of link {self.name}")
@@ -140,22 +122,13 @@ class Link:
                     drop(verdict)
                 return
             delay_s, copies = verdict
-        while copies:  # each copy rolls the link's own loss and queues (FIFO)
+        while copies:  # each copy queues (FIFO)
             copies -= 1
-            if self.loss and self._rng.random() < self.loss:
-                self.stats.frames_dropped_loss += 1
-                if drop:
-                    drop("loss")
-                continue
-            ser = 0.0
-            if self.bandwidth_bps:
-                ser = size_bytes * 8 / self.bandwidth_bps
             start = max(sim.now, self._tx_free_at[sender])
-            done = start + ser
-            self._tx_free_at[sender] = done
+            self._tx_free_at[sender] = start
             self.stats.frames_sent += 1
             self.stats.bytes_sent += size_bytes
-            sim.schedule_at(done + delay_s, self._deliver_if_up, deliver, drop)
+            sim.schedule_at(start + delay_s, self._deliver_if_up, deliver, drop)
 
     def _deliver_if_up(
         self, deliver: Callable[[], None], drop: Optional[Callable[[str], None]]

@@ -71,12 +71,6 @@ class Telemetry:
         #: Opt-in per-path time-series recorder (:mod:`repro.obs.pathseries`).
         self.path_series: Optional[PathSeriesRecorder] = None
 
-    def reset(self) -> None:
-        """Zero metrics and drop traces/events (fresh experiment epoch)."""
-        self.metrics.reset()
-        self.tracer.clear()
-        self.events.clear()
-
 
 class _NoopTelemetry(Telemetry):
     """Disabled telemetry: shared, immutable-by-convention no-ops."""

@@ -162,12 +162,6 @@ class EventLog:
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def clear(self) -> None:
-        self.events = []
-        self._down_pairs = {}
-        self._down_display = {}
-        self.suppressed_alerts = 0
-
 
 class NullEventLog(EventLog):
     """No-op event log for disabled telemetry."""

@@ -283,9 +283,6 @@ class MetricsRegistry:
         for collector in self._collectors:
             collector(self)
 
-    def families(self) -> List[str]:
-        return sorted(self._families)
-
     def reset(self) -> None:
         for family in self._families.values():
             for child in family.children.values():

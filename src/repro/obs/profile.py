@@ -201,22 +201,14 @@ class Profiler:
     # -- reports -----------------------------------------------------------------
 
     def rows(
-        self, epoch: Optional[int] = None, sort_by: str = "calls"
+        self, epoch: Optional[int] = None
     ) -> List[Tuple[Frames, int, float, float]]:
-        """``(frames, calls, sim_s, wall_estimate_s)`` rows, hottest first.
-
-        ``sort_by`` is ``"calls"`` (deterministic default) or ``"sim"``;
-        ties break on the frame tuple so the order is always total.
+        """``(frames, calls, sim_s, wall_estimate_s)`` rows, most calls
+        first; ties break on the frame tuple so the order is always total.
         """
-        entries = self._selected(epoch)
-        if sort_by == "sim":
-            ordered = sorted(
-                entries.items(), key=lambda kv: (-kv[1].sim_s, kv[0])
-            )
-        else:
-            ordered = sorted(
-                entries.items(), key=lambda kv: (-kv[1].calls, kv[0])
-            )
+        ordered = sorted(
+            self._selected(epoch).items(), key=lambda kv: (-kv[1].calls, kv[0])
+        )
         return [
             (frames, e.calls, e.sim_s, e.wall_estimate_s())
             for frames, e in ordered
@@ -231,7 +223,6 @@ class Profiler:
         top_n: int = 10,
         epoch: Optional[int] = None,
         include_wall: bool = True,
-        sort_by: str = "calls",
     ) -> str:
         """The top-N hot-path table as text.
 
@@ -242,12 +233,12 @@ class Profiler:
         """
         scope = "all epochs" if epoch is None \
             else self._epochs[epoch].label
-        rows = self.rows(epoch, sort_by=sort_by)[:top_n]
+        rows = self.rows(epoch)[:top_n]
         width = max([len(";".join(f)) for f, _, _, _ in rows] + [10])
         header = f"{'hot path':<{width}}  {'calls':>10}  {'sim_s':>12}"
         if include_wall:
             header += f"  {'~wall_s':>10}"
-        lines = [f"== profile ({scope}; top {len(rows)} by {sort_by}) ==",
+        lines = [f"== profile ({scope}; top {len(rows)} by calls) ==",
                  header]
         for frames, calls, sim_s, wall_s in rows:
             line = f"{';'.join(frames):<{width}}  {calls:>10}  {sim_s:>12.6f}"
@@ -275,10 +266,3 @@ class Profiler:
             if count > 0:
                 lines.append(f"{';'.join(frames)} {count}")
         return lines
-
-    def reset(self) -> None:
-        """Drop all epochs and start fresh (frame memo survives)."""
-        self._epochs = [_Epoch("epoch-0")]
-        self._current = self._epochs[0]
-        self._entry_memo.clear()
-        self._last_sim = None

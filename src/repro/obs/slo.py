@@ -168,13 +168,11 @@ class SloEngine:
         slos: Tuple[Slo, ...],
         windows: Tuple[BurnWindow, ...] = DEFAULT_WINDOWS,
         events=None,
-        source: str = "slo",
     ):
         self.metrics = metrics
         self.slos = tuple(slos)
         self.windows = tuple(windows)
         self.events = events
-        self.source = source
         self._history: Dict[str, Deque[_Sample]] = {
             slo.name: deque() for slo in self.slos
         }
@@ -282,7 +280,7 @@ class SloEngine:
                     started.append(alert)
                     if self.events is not None:
                         self.events.record(
-                            now, self.source, "slo-burn-rate",
+                            now, "slo", "slo-burn-rate",
                             target=f"{slo.name}[{window.label()}]",
                             detail=(
                                 f"burn {burn_long:.2f}x budget over "
@@ -299,7 +297,7 @@ class SloEngine:
                     del self._active[key]
                     if self.events is not None:
                         self.events.record(
-                            now, self.source, "slo-burn-clear",
+                            now, "slo", "slo-burn-clear",
                             target=f"{slo.name}[{window.label()}]",
                             detail=f"burn back under {window.burn_threshold:g}x",
                             severity="info",

@@ -182,10 +182,6 @@ class Tracer:
             seen.setdefault(span.trace_id, None)
         return list(seen)
 
-    def clear(self) -> None:
-        self._spans = []
-        self._stack = []
-
 
 def validate_trace(spans: List[Span]) -> List[str]:
     """Structural integrity check for one trace's spans.

@@ -85,15 +85,10 @@ class Fig6Result:
     frac_below_1: float
     frac_below_1_25: float
     max_ratio: float
-    outlier_pairs: List[Tuple[str, str, float]]  # ratio > outlier_threshold
-
-    def cdf(self) -> Tuple[np.ndarray, np.ndarray]:
-        return _cdf(list(self.pair_ratios.values()))
+    outlier_pairs: List[Tuple[str, str, float]]  # ratio > 2
 
 
-def fig6_ratio_cdf(
-    dataset: CampaignDataset, outlier_threshold: float = 2.0
-) -> Fig6Result:
+def fig6_ratio_cdf(dataset: CampaignDataset) -> Fig6Result:
     """Average SCION and IP RTT per pair over the whole campaign, then the
     ratio — exactly the paper's procedure."""
     ratios: Dict[Tuple[str, str], float] = {}
@@ -111,7 +106,7 @@ def fig6_ratio_cdf(
     values = np.asarray(list(ratios.values()))
     outliers = sorted(
         ((src, dst, ratio) for (src, dst), ratio in ratios.items()
-         if ratio > outlier_threshold),
+         if ratio > 2.0),
         key=lambda item: -item[2],
     )
     return Fig6Result(
@@ -139,16 +134,15 @@ class Fig7Result:
         return float(self.ratio_series.max())
 
 
-def fig7_ratio_over_time(
-    dataset: CampaignDataset, bucket_s: float = DAY_S / 2
-) -> Fig7Result:
-    """Ratio of aggregate SCION RTT to aggregate IP RTT per bucket.
+def fig7_ratio_over_time(dataset: CampaignDataset) -> Fig7Result:
+    """Ratio of aggregate SCION RTT to aggregate IP RTT per half-day bucket.
 
     Aggregating sums (rather than averaging per-record ratios) weights each
     ping by its RTT, like the paper's all-pairs view: long intercontinental
     pairs — where SCION's path choice pays off — dominate, so the curve
     sits below 1.0 except during maintenance episodes.
     """
+    bucket_s = DAY_S / 2
     buckets: Dict[int, Tuple[float, float]] = {}
     for r in dataset.valid_records():
         if r.scion_rtt_s is None or r.ip_rtt_s is None:

@@ -64,23 +64,18 @@ class ScieraWorld:
 
 def build_sciera(
     seed: int = 0,
-    k_propagate: int = 8,
-    k_register: int = 16,
     with_hosts: bool = True,
 ) -> ScieraWorld:
     """Stand up the deployment.
 
+    Beaconing propagates eight beacons per origin (``k_propagate=8``) and
+    registers :attr:`ScionNetwork.K_REGISTER` segments per origin.
     Convergence verifies every beacon's signature chain like any
     :class:`ScionNetwork` does; ``with_hosts=False`` skips the end hosts,
     bootstrap servers and access environments.
     """
     topology = build_sciera_topology()
-    network = ScionNetwork(
-        topology,
-        seed=seed,
-        k_propagate=k_propagate,
-        k_register=k_register,
-    )
+    network = ScionNetwork(topology, seed=seed, k_propagate=8)
     ip_internet = build_ip_internet()
     registry = HostRegistry()
     hosts: Dict[str, ScionHost] = {}

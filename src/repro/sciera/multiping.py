@@ -48,6 +48,8 @@ from repro.sciera.topology_data import (
 )
 
 DAY_S = 86_400.0
+#: Standard deviation of the relative per-ping RTT noise (half-normal).
+RTT_JITTER = 0.01
 
 
 @dataclass(frozen=True)
@@ -221,9 +223,7 @@ class MultipingCampaign:
         sources: Optional[Sequence[str]] = None,
         destinations: Optional[Sequence[str]] = None,
         schedule: Optional[FailureSchedule] = None,
-        stall_sources: Optional[Sequence[str]] = None,
         seed: int = 0,
-        rtt_jitter: float = 0.01,
     ):
         if interval_s <= 0 or duration_s <= 0:
             raise ValueError("duration and interval must be positive")
@@ -245,12 +245,7 @@ class MultipingCampaign:
             schedule if schedule is not None
             else sciera_campaign_schedule(duration_s)
         )
-        self.stall_sources = set(
-            stall_sources if stall_sources is not None
-            else self.DEFAULT_STALL_SOURCES
-        )
         self.rng = random.Random(seed)
-        self.rtt_jitter = rtt_jitter
         self.stats = CampaignStats()
         self._stall_starts: Dict[int, float] = {}
         self._pairs: List[Tuple[str, str]] = [
@@ -361,7 +356,7 @@ class MultipingCampaign:
         were missing; we integrate the stalled time across the hours the
         interval overlaps.
         """
-        if src not in self.stall_sources:
+        if src not in self.DEFAULT_STALL_SOURCES:
             return True
         end = t + self.interval_s
         stalled = 0.0
@@ -422,14 +417,14 @@ class MultipingCampaign:
             if chosen is None:
                 continue
             meta, base = chosen
-            sample = base * (1.0 + abs(self.rng.gauss(0.0, self.rtt_jitter)))
+            sample = base * (1.0 + abs(self.rng.gauss(0.0, RTT_JITTER)))
             if best_rtt is None or sample < best_rtt:
                 best_rtt = sample
                 best_kind = kind
         ip_base = self.world.ip_internet.rtt_s(src, dst)
         ip_rtt = None
         if ip_base is not None:
-            ip_rtt = ip_base * (1.0 + abs(self.rng.gauss(0.0, self.rtt_jitter)))
+            ip_rtt = ip_base * (1.0 + abs(self.rng.gauss(0.0, RTT_JITTER)))
         return IntervalRecord(
             time_s=t,
             src=src,

@@ -31,7 +31,7 @@ def _ordered_pairs(
 @dataclass
 class Fig10aResult:
     pair_inflation: Dict[Tuple[str, str], float]
-    frac_near_1: float        # inflation <= near_threshold
+    frac_near_1: float        # inflation <= 1.02
     frac_below_1_2: float
 
     def cdf(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -43,7 +43,6 @@ def fig10a_latency_inflation(
     world: ScieraWorld,
     sources: Sequence[str],
     destinations: Optional[Sequence[str]] = None,
-    near_threshold: float = 1.02,
 ) -> Fig10aResult:
     """d2/d1 per AS pair over the active paths."""
     network = world.network
@@ -61,7 +60,7 @@ def fig10a_latency_inflation(
     values = np.asarray(list(inflation.values()))
     return Fig10aResult(
         pair_inflation=inflation,
-        frac_near_1=float((values <= near_threshold).mean()),
+        frac_near_1=float((values <= 1.02).mean()),
         frac_below_1_2=float((values < 1.2).mean()),
     )
 
@@ -89,21 +88,16 @@ class Fig10bResult:
     frac_at_least_0_7: float
     combinations: int
 
-    def cdf(self) -> Tuple[np.ndarray, np.ndarray]:
-        xs = np.sort(self.disjointness)
-        return xs, np.arange(1, len(xs) + 1) / len(xs)
-
 
 def fig10b_path_disjointness(
     world: ScieraWorld,
     sources: Sequence[str],
     destinations: Optional[Sequence[str]] = None,
-    max_paths_per_pair: int = 8,
 ) -> Fig10bResult:
     """Disjointness over all path combinations of every AS pair.
 
-    ``max_paths_per_pair`` caps the quadratic blow-up for pairs with >100
-    paths. The cap picks *diverse representatives* (greedy farthest-first
+    At most eight paths per pair are combined, which caps the quadratic
+    blow-up for pairs with >100 paths. The cap picks *diverse representatives* (greedy farthest-first
     on disjointness) rather than the shortest prefix: shortest-first would
     select dozens of near-identical variants of the same route and
     understate the diversity end hosts actually choose from.
@@ -113,7 +107,7 @@ def fig10b_path_disjointness(
     values: List[float] = []
     for src, dst in _ordered_pairs(sources, destinations):
         metas = network.active_paths(IA.parse(src), IA.parse(dst))
-        metas = _diverse_subset(metas, max_paths_per_pair)
+        metas = _diverse_subset(metas, 8)
         values.extend(
             a.disjointness(b) for a, b in itertools.combinations(metas, 2)
         )

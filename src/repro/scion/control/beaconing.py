@@ -197,6 +197,8 @@ class BeaconingStats:
 #: can only be a replayed stale PCB — comfortably below the 24 h hop-field
 #: expiry that would otherwise be the only freshness bound.
 MAX_BEACON_AGE_S = 3600.0
+#: Propagation rounds :meth:`BeaconingEngine.run` allows to reach a fixed point.
+MAX_ROUNDS = 64
 
 
 class BeaconingEngine:
@@ -460,7 +462,7 @@ class BeaconingEngine:
             beacon, parent_span=root,
         )
 
-    def run(self, max_rounds: int = 64) -> int:
+    def run(self) -> int:
         """Run both beaconing processes to a fixed point; returns rounds."""
         core_ases = self.topology.core_ases()
         # Origination.
@@ -473,7 +475,7 @@ class BeaconingEngine:
                     self._originate(origin, iface, self.down_stores)
         # Propagation rounds.
         rounds = 0
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             changed = False
             rounds += 1
             # Core beaconing: core ASes extend to core neighbors.

@@ -84,7 +84,6 @@ class SegmentRegistry:
     def __init__(
         self,
         telemetry: Optional[Telemetry] = None,
-        guard: Optional[OverloadGuard] = None,
     ) -> None:
         #: leaf AS -> down segments terminating there
         self._down: Dict[IA, Dict[str, Beacon]] = {}
@@ -102,14 +101,16 @@ class SegmentRegistry:
         self._telemetry = tel
         # Note: replacing a registry under the same enabled telemetry keeps
         # the cumulative counters (Prometheus convention — counters survive
-        # the process, not the data structure); Telemetry.reset() zeroes.
+        # the process, not the data structure); only a fresh Telemetry
+        # starts them at zero.
         self.stats = RegistryStats(tel.metrics if tel.enabled else None)
-        #: Optional overload guard for registrations.  Consulted only when
-        #: the caller supplies ``now`` (so legacy now-less registrations —
-        #: and their seeded digests — are untouched).  Shed registrations
-        #: are dropped silently: beaconing re-registers every round, so a
-        #: shed registration heals itself at the next propagation.
-        self.guard = guard
+        #: Optional overload guard for registrations, attached by assigning
+        #: this attribute.  Consulted only when the caller supplies ``now``
+        #: (so legacy now-less registrations — and their seeded digests —
+        #: are untouched).  Shed registrations are dropped silently:
+        #: beaconing re-registers every round, so a shed registration heals
+        #: itself at the next propagation.
+        self.guard: Optional[OverloadGuard] = None
         self._version = 0
 
     @property
@@ -393,16 +394,16 @@ class LocalPathServer:
         registry: SegmentRegistry,
         check_revocation: RevocationCheck,
         telemetry: Optional[Telemetry] = None,
-        guard: Optional[OverloadGuard] = None,
     ):
         self.ia = ia
         self.registry = registry
-        #: Optional overload guard for lookups.  Admission is consulted only
+        #: Optional overload guard for lookups, attached by assigning this
+        #: attribute.  Admission is consulted only
         #: when the caller supplies ``now`` (legacy now-less lookups — and
         #: their seeded digests — bypass it); a refused lookup raises
         #: :exc:`~repro.core.overload.OverloadRejected` and the admitted
         #: queueing delay is added to the returned :class:`LookupTiming`.
-        self.guard = guard
+        self.guard: Optional[OverloadGuard] = None
         tel = resolve(telemetry)
         self._telemetry = tel
         self._lookup_latency = tel.metrics.histogram(

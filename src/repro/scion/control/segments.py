@@ -295,8 +295,6 @@ class Beacon:
         signing_key: RsaKeyPair,
         timestamp: int,
         egress_ifid: int,
-        peers: Tuple[PeerEntry, ...] = (),
-        mtu: int = 1472,
     ) -> "Beacon":
         """Create the initial beacon an origin core AS sends over one link."""
         seg_id = int.from_bytes(
@@ -307,8 +305,9 @@ class Beacon:
             ia, forwarding_key, timestamp,
             cons_ingress=0, cons_egress=egress_ifid, beta=seg_id,
         )
-        entry = ASEntry(ia=ia, hop=hop, peers=peers, mtu=mtu)
-        return cls(timestamp, seg_id, (entry,)).sign_last(signing_key)
+        return cls(timestamp, seg_id, (ASEntry(ia=ia, hop=hop),)).sign_last(
+            signing_key
+        )
 
     def next_beta(self) -> int:
         """Beta value the next appended entry must carry."""

@@ -32,14 +32,13 @@ class TrustStore:
     """Per-AS store of TRCs, validated through TRC chaining.
 
     A rollover (adding a successor TRC) opens a *grace window*: for
-    ``grace_window_s`` after the successor arrives, the superseded TRC is
+    :data:`DEFAULT_TRC_GRACE_S` after the successor arrives, the superseded TRC is
     still offered to verifiers via :meth:`verifying_trcs`, so segments
     whose certificate chains anchor in the predecessor's roots remain
     verifiable while the ISD re-issues its chains.
     """
 
-    def __init__(self, grace_window_s: float = DEFAULT_TRC_GRACE_S) -> None:
-        self.grace_window_s = grace_window_s
+    def __init__(self) -> None:
         self._chains: Dict[int, List[Trc]] = {}
         #: (isd, serial) -> time the successor of that TRC was added
         self._superseded_at: Dict[tuple, float] = {}
@@ -93,7 +92,7 @@ class TrustStore:
             superseded_at = self._superseded_at.get((isd, predecessor.serial))
             if (
                 superseded_at is not None
-                and now < superseded_at + self.grace_window_s
+                and now < superseded_at + DEFAULT_TRC_GRACE_S
             ):
                 out.append(predecessor)
         return out
@@ -126,6 +125,6 @@ class ControlService:
         self.certificate = issued
         return issued
 
-    def certificate_healthy(self, now: float, margin_s: float = 0.0) -> bool:
+    def certificate_healthy(self, now: float) -> bool:
         cert = self.certificate.certificate
-        return cert.not_before <= now and now + margin_s < cert.not_after
+        return cert.not_before <= now < cert.not_after

@@ -49,8 +49,6 @@ class CaService:
         ca_key: RsaKeyPair,
         ca_certificate: Certificate,
         root_certificate: Certificate,
-        as_cert_lifetime_s: float = DEFAULT_AS_CERT_LIFETIME_S,
-        guard: Optional[OverloadGuard] = None,
     ):
         if ca_certificate.cert_type is not CertType.CA:
             raise CertificateError("CaService needs a CA certificate")
@@ -60,14 +58,15 @@ class CaService:
         self._key = ca_key
         self.ca_certificate = ca_certificate
         self.root_certificate = root_certificate
-        self.as_cert_lifetime_s = as_cert_lifetime_s
-        #: Optional overload guard for the issuance/renewal endpoint.
+        self.as_cert_lifetime_s = DEFAULT_AS_CERT_LIFETIME_S
+        #: Optional overload guard for the issuance/renewal endpoint,
+        #: attached by assigning this attribute.
         #: Renewals are scheduled well ahead of expiry, so they ride
         #: through admission as critical work (priority 0: a shed renewal
         #: would eventually take the AS's beacons down with it).  A refusal
         #: raises :exc:`~repro.core.overload.OverloadRejected`, which the
         #: supervisor's retry loop treats as transient.
-        self.guard = guard
+        self.guard: Optional[OverloadGuard] = None
         self._serial = 0
         self.issued: List[Certificate] = []
         #: subject -> latest certificate, the one :meth:`renew` re-issues

@@ -13,7 +13,7 @@ lead to the next AS on the path"):
 
 They do not share queueing (egress queues and link transmitters exist only
 event-driven: the walk is a send on an idle network) nor, today, the
-processing-delay accounting: the walk charges ``router_processing_s`` at
+processing-delay accounting: the walk charges ``ROUTER_PROCESSING_S`` at
 every router, ``send`` only at crossover and delivery, because the
 ``packet_events`` digest pins arrival times (ROADMAP 6(a), the
 benchmark-only change, is where both charge it alike and that digest is
@@ -115,9 +115,7 @@ class ScionDataplane:
         self,
         topology: GlobalTopology,
         forwarding_keys: Dict[IA, SymmetricKey],
-        router_processing_s: float = ROUTER_PROCESSING_S,
         signing_keys: Optional[Dict[IA, RsaKeyPair]] = None,
-        revocation_ttl_s: float = DEFAULT_REVOCATION_TTL_S,
         telemetry: Optional[Telemetry] = None,
     ):
         self.topology = topology
@@ -127,12 +125,12 @@ class ScionDataplane:
             ia: BorderRouter(topo, forwarding_keys[ia], telemetry=telemetry)
             for ia, topo in topology.ases.items()
         }
-        self.router_processing_s = router_processing_s
         #: AS signing keys (the beaconing keys): when present, revocations
         #: minted for that AS's interfaces are signed so path servers in
         #: other ASes can verify them.
         self.signing_keys: Dict[IA, RsaKeyPair] = dict(signing_keys or {})
-        self.revocation_ttl_s = revocation_ttl_s
+        #: Lifetime of the revocations minted from SCMP errors.
+        self.revocation_ttl_s = DEFAULT_REVOCATION_TTL_S
         #: Registered probe faults, oldest first (see :meth:`add_probe_fault`).
         self._probe_faults: dict = {}
 
@@ -236,7 +234,7 @@ class ScionDataplane:
         if not records:
             return ProbeResult(False, failure="empty-path")
         step = self._step
-        processing = self.router_processing_s
+        processing = ROUTER_PROCESSING_S
         count = len(records)
         delay = 0.0
         # Touched only where a crossed link has registered faults: the delay
@@ -345,7 +343,7 @@ class ScionDataplane:
             )
             if stopped:
                 return PathAnalysis(False, (), 0.0, stopped)
-            delay += self.router_processing_s
+            delay += ROUTER_PROCESSING_S
             if link is not None:
                 links.append(link)
                 delay += link.latency_s
@@ -401,7 +399,7 @@ class ScionDataplane:
         the latencies are read live, in the original summation order.
         """
         total = 0.0
-        processing = self.router_processing_s
+        processing = ROUTER_PROCESSING_S
         previous: Optional[HopRecord] = None
         for index, segment in enumerate(path.segments):
             records = segment.records(index)
@@ -514,16 +512,16 @@ class ScionDataplane:
             return
         if decision.verdict is Verdict.DELIVER:
             if trace_span is not None:
-                done = sim.now + self.router_processing_s
+                done = sim.now + ROUTER_PROCESSING_S
                 tracer = self._telemetry.tracer
                 tracer.add("packet.delivered", now=done, parent=trace_span,
                            **{"as": str(record.hop.ia)})
                 tracer.end(trace_span, now=done)
-            sim.schedule(self.router_processing_s, on_delivered, packet)
+            sim.schedule(ROUTER_PROCESSING_S, on_delivered, packet)
             return
         if decision.verdict is Verdict.CROSSOVER:
             sim.schedule(
-                self.router_processing_s, self._hop,
+                ROUTER_PROCESSING_S, self._hop,
                 sim, packet, following, None, on_delivered, dropped,
                 trace_span,
             )

@@ -8,12 +8,12 @@ decision logic; actual movement across links is done by
 :class:`repro.scion.dataplane.network.ScionDataplane`.
 
 Routers come in two interoperable flavors ("open-source" and "anapaya",
-Section 4.5) that share this wire behaviour; the flavor is carried for
-heterogeneity accounting only.
+Section 4.5) that share this wire behaviour; the flavor lives on the AS
+topology (``AsTopology.flavor``) for heterogeneity accounting only.
 
 Two robustness pieces live here as well:
 
-* a **bounded per-interface egress queue** (``queue_capacity``): a router
+* a **bounded per-interface egress queue** (:data:`QUEUE_CAPACITY`): a router
   under overload sheds packets with ``DROP_QUEUE_FULL`` instead of
   queueing unboundedly, so congestion stays distinguishable from failure
   (queue drops never produce interface-down SCMP errors or revocations);
@@ -96,10 +96,10 @@ class RouterStats(CounterBackedStats):
     PREFIX = "router"
 
 
-#: Default bound on each egress interface's in-flight queue.  Generous —
-#: only sustained overload (the dispatcher-style bottleneck experiments)
-#: should ever hit it.
-DEFAULT_QUEUE_CAPACITY = 64
+#: Bound on each egress interface's in-flight queue.  Generous — only
+#: sustained overload (the dispatcher-style bottleneck experiments) should
+#: ever hit it.
+QUEUE_CAPACITY = 64
 
 
 class BorderRouter:
@@ -109,17 +109,11 @@ class BorderRouter:
         self,
         topology: AsTopology,
         forwarding_key: SymmetricKey,
-        flavor: Optional[str] = None,
-        queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         telemetry: Optional[Telemetry] = None,
     ):
-        if queue_capacity <= 0:
-            raise ValueError("queue_capacity must be positive")
         self.topology = topology
         self.ia: IA = topology.ia
         self._key = forwarding_key
-        self.flavor = flavor or topology.flavor
-        self.queue_capacity = queue_capacity
         tel = resolve(telemetry)
         self._telemetry = tel
         labels = {"as": str(self.ia)}
@@ -261,7 +255,7 @@ class BorderRouter:
         already full; the caller must then drop with ``DROP_QUEUE_FULL``.
         """
         depth = self._queue_depth.get(ifid, 0)
-        if depth >= self.queue_capacity:
+        if depth >= QUEUE_CAPACITY:
             self.stats.inc("queue_drops")
             self._drop_counters[Verdict.DROP_QUEUE_FULL].inc()
             return False

@@ -63,15 +63,14 @@ class ScionNetwork:
 
     #: How long trust material lives in the simulation (10 years).
     TRUST_LIFETIME_S = 10 * 365 * 24 * 3600.0
+    #: Segments each AS registers per origin after a beaconing run.
+    K_REGISTER = 16
 
     def __init__(
         self,
         topology: GlobalTopology,
         seed: int = 0,
-        timestamp: int = 1_000_000,
         k_propagate: int = 6,
-        k_register: int = 16,
-        run_beaconing: bool = True,
         telemetry: Optional[Telemetry] = None,
     ):
         topology.validate()
@@ -80,8 +79,8 @@ class ScionNetwork:
         #: drivers attach to the same registry/tracer/event log.
         self.telemetry = resolve(telemetry)
         self.seed = seed
-        self.timestamp = timestamp
-        self.k_register = k_register
+        #: Build instant: trust material and the first beacons date from it.
+        self.timestamp = 1_000_000
         master = hashlib.sha256(f"sciera-master-{seed}".encode()).digest()
 
         # 1. Per-ISD trust material.
@@ -89,7 +88,7 @@ class ScionNetwork:
         self.trust_store = TrustStore()
         self._pending_root_keys: Dict[int, RsaKeyPair] = {}
         for isd in topology.isds():
-            self.isd_trust[isd] = self._build_isd_trust(isd, timestamp)
+            self.isd_trust[isd] = self._build_isd_trust(isd, self.timestamp)
             self.trust_store.add_trc(self.isd_trust[isd].trc)
 
         # 2. Per-AS identities and services.
@@ -99,7 +98,7 @@ class ScionNetwork:
             signing_key = RsaKeyPair.generate(seed=self._key_seed("as", ia))
             trust = self.isd_trust[ia.isd]
             issued = trust.ca.issue_as_certificate(
-                str(ia), signing_key.public, now=timestamp,
+                str(ia), signing_key.public, now=self.timestamp,
             )
             service = ControlService(
                 topology=as_topo,
@@ -127,9 +126,7 @@ class ScionNetwork:
         self._path_cache_version = self.registry.version
         #: src -> (up segments, core segments, the CoreHalf built from them)
         self._core_halves: Dict[IA, Tuple[tuple, tuple, CoreHalf]] = {}
-        self.beaconing: Optional[BeaconingEngine] = None
-        if run_beaconing:
-            self.run_beaconing(k_propagate=k_propagate)
+        self.beaconing: BeaconingEngine = self.run_beaconing(k_propagate=k_propagate)
 
         # 5. Data plane — handed the AS signing keys so the SCMP errors it
         # emits can be turned into *signed* revocations at the source AS.
@@ -153,16 +150,14 @@ class ScionNetwork:
         metrics.gauge(
             "scion_links_down", "Topology links administratively down.",
         ).set(sum(1 for link in self.topology.links.values() if not link.up))
-        engine = self.beaconing
-        if engine is not None:
-            for name in (
-                "rounds", "beacons_sent", "beacons_accepted",
-                "beacons_rejected_loop", "beacons_rejected_invalid",
-            ):
-                metrics.gauge(
-                    f"beaconing_{name}",
-                    "Beaconing engine totals for the last run.",
-                ).set(float(getattr(engine.stats, name)))
+        for name in (
+            "rounds", "beacons_sent", "beacons_accepted",
+            "beacons_rejected_loop", "beacons_rejected_invalid",
+        ):
+            metrics.gauge(
+                f"beaconing_{name}",
+                "Beaconing engine totals for the last run.",
+            ).set(float(getattr(self.beaconing.stats, name)))
 
     # -- construction helpers ---------------------------------------------------
 
@@ -281,10 +276,7 @@ class ScionNetwork:
             not_after=not_after,
             serial=trust.trc.serial,
         ).signed_by(new_key)
-        ca = CaService(
-            f"ca-isd{isd}", trust.ca_key, ca_cert, root_cert,
-            as_cert_lifetime_s=trust.ca.as_cert_lifetime_s,
-        )
+        ca = CaService(f"ca-isd{isd}", trust.ca_key, ca_cert, root_cert)
         trust.root_key = new_key
         trust.root_cert = root_cert
         trust.ca = ca
@@ -358,13 +350,13 @@ class ScionNetwork:
         for ia, topo in sorted(self.topology.ases.items()):
             service = self.services[ia]
             if topo.is_core:
-                stored = engine.core_stores[ia].select_all(self.k_register, now=now)
+                stored = engine.core_stores[ia].select_all(self.K_REGISTER, now=now)
                 for segment in map(engine.terminate, stored):
                     self.registry.register_core(segment, now=now)
                     if tel.enabled:
                         _trace_register(segment, ia, "core")
             else:
-                stored = engine.down_stores[ia].select_all(self.k_register, now=now)
+                stored = engine.down_stores[ia].select_all(self.K_REGISTER, now=now)
                 for segment in map(engine.terminate, stored):
                     service.path_server.register_up(segment)
                     self.registry.register_down(segment, now=now)

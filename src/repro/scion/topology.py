@@ -148,7 +148,6 @@ class GlobalTopology:
         a_type: LinkType,
         latency_s: float,
         link_name: Optional[str] = None,
-        bandwidth_bps: Optional[float] = None,
     ) -> Link:
         """Attach a new inter-AS link; interface ids are auto-allocated.
 
@@ -159,7 +158,7 @@ class GlobalTopology:
         name = link_name or self._default_link_name(a, b)
         if name in self.links:
             raise TopologyError(f"link {name!r} already exists")
-        link = Link(name, str(a), str(b), latency_s, bandwidth_bps=bandwidth_bps)
+        link = Link(name, str(a), str(b), latency_s)
         # The ASes' own IA instances, not the caller's equal copies: one
         # shared object per AS makes IA comparisons identity checks.
         a, b = topo_a.ia, topo_b.ia
@@ -222,14 +221,13 @@ def random_topology(
     seed: int = 0,
     isd: int = 71,
     n_core: Optional[int] = None,
-    max_parents: int = 2,
     peer_fraction: float = 0.1,
 ) -> GlobalTopology:
     """A seeded random SCION topology with ``n_ases`` ASes in one ISD.
 
     The shape mirrors SCIERA's growth pattern (and the ROADMAP's scale-out
     target): a small fully-meshed core, and non-core ASes attached one at a
-    time with 1..``max_parents`` parent links to already-placed ASes — so
+    time with one or two parent links to already-placed ASes — so
     the provider hierarchy is a DAG of varying depth, multi-homing is
     common, and every AS is reachable.  A ``peer_fraction`` of the non-core
     ASes get lateral peering links.  Construction is fully determined by
@@ -238,8 +236,6 @@ def random_topology(
     """
     if n_ases < 1:
         raise TopologyError("n_ases must be >= 1")
-    if max_parents < 1:
-        raise TopologyError("max_parents must be >= 1")
     rng = random.Random(seed)
     if n_core is None:
         n_core = max(1, int(n_ases ** 0.5) // 2)
@@ -260,7 +256,7 @@ def random_topology(
     placed: List[IA] = list(cores)
     for leaf in leaves:
         topo.add_as(leaf, name=f"as-{leaf.asn}")
-        n_parents = rng.randint(1, min(max_parents, len(placed)))
+        n_parents = rng.randint(1, min(2, len(placed)))
         for parent in rng.sample(placed, n_parents):
             topo.add_link(leaf, parent, LinkType.PARENT,
                           rng.uniform(0.001, 0.020))

@@ -12,10 +12,10 @@ from repro.experiments.overload import (
     SWEEP_MULTIPLES,
     run,
     run_storms,
-    telemetry_snapshot,
 )
 from repro.experiments.registry import run_experiment
 from tests.reference_arms import naive_slo_snapshot, run_naive_storms
+from tests.telemetry_snapshots import overload_telemetry_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ class TestReport:
 
 class TestTelemetrySnapshot:
     def test_all_overload_decisions_visible_in_metrics(self):
-        snap = telemetry_snapshot()
+        snap = overload_telemetry_snapshot()
         prom = snap["prometheus"]
         for family in (
             "overload_admitted_total",

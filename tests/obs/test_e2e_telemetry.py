@@ -1,6 +1,6 @@
 """End-to-end telemetry acceptance: the chaos scenario, fully observed.
 
-One seeded chaos run (``telemetry_snapshot``) must export Prometheus text
+One seeded chaos run (``chaos_telemetry_snapshot``) must export Prometheus text
 with labelled router drop counters and lookup-latency quantiles, at least
 one multi-layer trace with linked spans crossing the SCMP error and
 revocation-ingest layers, and a health report naming the down link, the
@@ -10,15 +10,15 @@ must export byte-identical telemetry.
 
 import pytest
 
-from repro.experiments.chaos_resilience import telemetry_snapshot
 from repro.obs import validate_trace
+from tests.telemetry_snapshots import chaos_telemetry_snapshot
 
 SEED = 11
 
 
 @pytest.fixture(scope="module")
 def snapshot():
-    return telemetry_snapshot(seed=SEED)
+    return chaos_telemetry_snapshot(seed=SEED)
 
 
 class TestTraceAcceptance:
@@ -106,7 +106,7 @@ class TestTimelineAcceptance:
 
 class TestDeterminism:
     def test_same_seed_exports_are_byte_identical(self, snapshot):
-        again = telemetry_snapshot(seed=SEED)
+        again = chaos_telemetry_snapshot(seed=SEED)
         assert again["prometheus"] == snapshot["prometheus"]
         assert again["metrics_json"] == snapshot["metrics_json"]
         assert again["event_digest"] == snapshot["event_digest"]

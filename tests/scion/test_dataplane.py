@@ -16,6 +16,7 @@ from repro.scion.dataplane.dispatcher import (
     DispatcherlessStack,
     EndHostDataPathModel,
 )
+from repro.scion.dataplane.router import QUEUE_CAPACITY
 from repro.scion.dataplane.underlay import IntraAsNetwork, UnderlayError
 from repro.scion.packet import ScionPacket
 from repro.scion.scmp import (
@@ -189,7 +190,7 @@ class TestEgressQueue:
         router = net.dataplane.routers[A]
         # Fill every egress queue at A so the next packet overflows.
         for ifid in router.topology.interfaces:
-            for _ in range(router.queue_capacity):
+            for _ in range(QUEUE_CAPACITY):
                 assert router.try_enqueue(ifid)
         drops, scmps = [], []
         net.dataplane.send(
@@ -220,14 +221,6 @@ class TestEgressQueue:
         for router in net.dataplane.routers.values():
             for ifid in router.topology.interfaces:
                 assert router.queue_depth(ifid) == 0
-
-    def test_queue_capacity_must_be_positive(self, fresh_diamond_network):
-        from repro.scion.dataplane.router import BorderRouter
-        net = fresh_diamond_network
-        with pytest.raises(ValueError):
-            BorderRouter(
-                net.topology.get(A), net.forwarding_keys[A], queue_capacity=0
-            )
 
 
 class TestEventDrivenDelivery:

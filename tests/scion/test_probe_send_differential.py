@@ -20,6 +20,7 @@ import pytest
 from repro.netsim.chaos import FaultInjector
 from repro.netsim.simulator import Simulator
 from repro.scion.addr import HostAddr
+from repro.scion.dataplane.network import ROUTER_PROCESSING_S
 from repro.scion.network import ScionNetwork
 from repro.scion.packet import ScionPacket
 from repro.scion.path import DataplanePath
@@ -105,10 +106,10 @@ def agree(dataplane, sim: Simulator, path: DataplanePath) -> str:
         return probe.failure
     # The one known difference, pinned until ROADMAP 6(a)'s benchmark-only
     # change re-pins the ``packet_events`` digest (it hashes arrival times): the
-    # walk charges ``router_processing_s`` at every router, ``send`` only at
+    # walk charges ``ROUTER_PROCESSING_S`` at every router, ``send`` only at
     # crossover and delivery — not at routers that forward onto a link.
     assert probe.one_way_s - sent.one_way_s == pytest.approx(
-        dataplane.router_processing_s * _forwarding_hops(path), abs=1e-9
+        ROUTER_PROCESSING_S * _forwarding_hops(path), abs=1e-9
     )
     assert probe.rtt_s == pytest.approx(2 * probe.one_way_s)
     return ""

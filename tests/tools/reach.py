@@ -15,6 +15,13 @@ but runs none of their bodies. Such a module must be listed in DESIGN.md's
 "Reached only by tests" ledger, and every ledger entry must be such a
 module; otherwise the audit exits 1.
 
+On every call into ``src/repro`` it also records which defaulted parameters
+the caller bound to something other than the default.  It prints how many
+defaulted parameters of the functions the roots enter no root ever sets,
+and the same count for constructors.  The constructor parameters no root
+sets must be exactly DESIGN.md's "Constructor parameters only tests set"
+ledger, one line per class; otherwise the audit exits 1.
+
 Run:  PYTHONPATH=src python tests/tools/reach.py  (several minutes)
 """
 
@@ -35,6 +42,12 @@ PREFIX = str(PACKAGE) + "/"
 
 lines_run = defaultdict(set)   # file -> line numbers run
 bodies_run = set()             # files that ran at least one function body
+#: (file, qualname) -> {defaulted parameter: bound to a non-default value}
+params_set = {}
+#: code object -> (its params_set entry, defaulted (name, default) pairs
+#: not yet seen set); None for code that is not a module-level function or
+#: method (nested functions, lambdas, comprehensions, module bodies).
+_defaults_of = {}
 #: Comprehensions run inside whatever runs them, import time included.
 COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
 
@@ -49,6 +62,70 @@ def _local(frame, event, arg):
     return _local
 
 
+def _function(code, namespace):
+    """The function object whose body ``code`` is, found from the module
+    globals along ``co_qualname``; None if it cannot be found that way."""
+    if "<" in code.co_qualname:
+        return None
+    obj = None
+    for part in code.co_qualname.split("."):
+        scope = namespace if obj is None else vars(obj)
+        obj = scope.get(part)
+        if obj is None:
+            return None
+    if isinstance(obj, property):
+        obj = next((f for f in (obj.fget, obj.fset) if f is not None
+                    and f.__code__ is code), None)
+    obj = getattr(obj, "__func__", obj)  # classmethod, staticmethod
+    return obj if getattr(obj, "__code__", None) is code else None
+
+
+def _defaulted(code, function):
+    """``(name, default)`` of each parameter of ``function`` with a default."""
+    positional = code.co_varnames[:code.co_argcount]
+    defaults = function.__defaults__ or ()
+    pairs = list(zip(positional[len(positional) - len(defaults):], defaults))
+    pairs.extend((function.__kwdefaults__ or {}).items())
+    return pairs
+
+
+def _is_default(value, default) -> bool:
+    if value is default:
+        return True
+    try:
+        return type(value) is type(default) and bool(value == default)
+    except (TypeError, ValueError):  # e.g. an array compared elementwise
+        return False
+
+
+def _record_call(frame) -> None:
+    code = frame.f_code
+    if code.co_code[frame.f_lasti + 1] != 0:
+        return  # RESUME 1+: a generator resumed, not a fresh call
+    try:
+        entry = _defaults_of[code]
+    except KeyError:
+        function = _function(code, frame.f_globals)
+        entry = None
+        if function is not None:
+            pairs = _defaulted(code, function)
+            key = (code.co_filename, code.co_qualname)
+            seen = params_set.setdefault(key, {})
+            for name, _ in pairs:
+                seen.setdefault(name, False)
+            entry = (seen, [p for p in pairs if not seen[p[0]]])
+        _defaults_of[code] = entry
+    if not entry or not entry[1]:
+        return
+    seen, unset = entry
+    bound = frame.f_locals
+    for pair in list(unset):
+        name, default = pair
+        if not _is_default(bound.get(name, default), default):
+            seen[name] = True
+            unset.remove(pair)
+
+
 def _global(frame, event, arg):
     code = frame.f_code
     if not code.co_filename.startswith(PREFIX):
@@ -56,6 +133,7 @@ def _global(frame, event, arg):
     lines_run[code.co_filename].add(frame.f_lineno)
     if is_body(code):
         bodies_run.add(code.co_filename)
+        _record_call(frame)
     return _local
 
 
@@ -89,11 +167,42 @@ def executable(path: Path):
     return lines, has_function
 
 
+def _design_section(title: str) -> str:
+    text = (ROOT / "DESIGN.md").read_text()
+    return text.partition(title)[2].split("\n#", 1)[0]
+
+
 def ledger() -> set:
     """Module paths listed under DESIGN.md's "Reached only by tests"."""
-    text = (ROOT / "DESIGN.md").read_text()
-    section = text.partition("Reached only by tests")[2].split("\n#", 1)[0]
+    section = _design_section("Reached only by tests")
     return set(re.findall(r"^- `([\w/]+\.py)`", section, re.M))
+
+
+def constructor_ledger() -> set:
+    """``(class, parameter)`` pairs listed under DESIGN.md's "Constructor
+    parameters only tests set" (lines ``- `Class`: a, b — why``)."""
+    section = _design_section("Constructor parameters only tests set")
+    return {
+        (cls, name.strip())
+        for cls, names in re.findall(r"^- `(\w+)`: ([\w, ]+) —", section, re.M)
+        for name in names.split(",")
+    }
+
+
+def unset_parameters():
+    """(all, constructor) defaulted parameters of the functions the roots
+    entered that no root bound to a non-default value; constructor ones as
+    ``(class, parameter)``."""
+    unset, constructors = [], set()
+    for (_, qualname), seen in params_set.items():
+        for name, was_set in seen.items():
+            if was_set:
+                continue
+            unset.append((qualname, name))
+            cls, _, method = qualname.rpartition(".")
+            if method == "__init__":
+                constructors.add((cls, name))
+    return unset, constructors
 
 
 def main() -> int:
@@ -124,7 +233,17 @@ def main() -> int:
         print(f"  {name}" + ("" if name in listed else "  <- not in the ledger"))
     for name in sorted(listed - unreached):
         print(f"ledger entry {name} is reached now (or gone): drop it")
-    return 0 if unreached == listed else 1
+    unset, constructors = unset_parameters()
+    print(f"defaulted parameters no root sets: {len(unset)} "
+          f"(of {sum(map(len, params_set.values()))} in functions the roots enter)")
+    print(f"constructor parameters no root sets: {len(constructors)}")
+    listed_params = constructor_ledger()
+    for cls, name in sorted(constructors - listed_params):
+        print(f"  {cls}({name})  <- not in the ledger")
+    for cls, name in sorted(listed_params - constructors):
+        print(f"ledger entry {cls}({name}) is set by a root now (or gone): drop it")
+    ok = unreached == listed and constructors == listed_params
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
