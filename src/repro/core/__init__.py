@@ -1,8 +1,7 @@
 """The paper's contribution: scaling the SCIERA deployment.
 
 Deployment strategy and effort (Figure 3), monitoring/alerting, the
-operator survey (Section 5.6), the no-commercial-transit path policy
-(Section 4.9), and the control-plane supervisor.  The SCION Orchestrator's
+operator survey (Section 5.6), and the control-plane supervisor.  The SCION Orchestrator's
 jobs (Section 4.4) are done by :class:`Supervisor` (certificate
 auto-renewal, restarts), :func:`repro.obs.health.build_health_report` (the
 status page) and :class:`repro.obs.events.EventLog` (the logs).
@@ -16,7 +15,6 @@ from repro.core.deployment import (
 )
 from repro.core.monitoring import ConnectivityMonitor, Alert
 from repro.core.survey import OPERATOR_SURVEY, SurveyAnalysis
-from repro.core.policy import ScieraTransitPolicy
 from repro.core.retry import RetryError, RetryOutcome, RetryPolicy, RetrySchedule
 from repro.core.supervisor import (
     ServiceState,
@@ -34,7 +32,6 @@ __all__ = [
     "Alert",
     "OPERATOR_SURVEY",
     "SurveyAnalysis",
-    "ScieraTransitPolicy",
     "RetryError",
     "RetryOutcome",
     "RetryPolicy",

@@ -16,8 +16,8 @@ accumulated experience of the SCIERA team — so the learning-curve claim
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)

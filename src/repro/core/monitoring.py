@@ -9,7 +9,7 @@ status page.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.netsim.simulator import Simulator

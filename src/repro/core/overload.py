@@ -132,10 +132,6 @@ class OverloadStats(CounterBackedStats):
         return (self.admitted + self.shed
                 + self.rejected_queue_full + self.rejected_deadline)
 
-    @property
-    def rejected(self) -> int:
-        return self.rejected_queue_full + self.rejected_deadline
-
 
 class OverloadGuard:
     """Admission control in front of one service, on simulated time.

@@ -17,7 +17,7 @@ waits (and their own per-attempt costs) to whatever clock they maintain.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ReproError

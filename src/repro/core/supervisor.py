@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.retry import RetryError, RetryPolicy
@@ -140,6 +140,8 @@ class Supervisor:
     """
 
     CONTROL = "control"
+    #: Restoring the checkpoint during a warm restart (simulated seconds).
+    WARM_RESTORE_S = 0.05
 
     def __init__(
         self,
@@ -149,13 +151,12 @@ class Supervisor:
         warm_restart: bool = True,
         renewal_policy: RetryPolicy = DEFAULT_RENEWAL_POLICY,
         beacon_round_s: float = 0.25,
-        warm_restore_s: float = 0.05,
         event_sink: Optional[Callable[[float, str, str, str], None]] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         if check_interval_s <= 0:
             raise SupervisorError("check_interval_s must be positive")
-        if beacon_round_s <= 0 or warm_restore_s <= 0:
+        if beacon_round_s <= 0:
             raise SupervisorError("restart durations must be positive")
         self.network = network
         self.check_interval_s = check_interval_s
@@ -163,7 +164,6 @@ class Supervisor:
         self.warm_restart = warm_restart
         self.renewal_policy = renewal_policy
         self.beacon_round_s = beacon_round_s
-        self.warm_restore_s = warm_restore_s
         tel = resolve(
             telemetry if telemetry is not None
             else getattr(network, "telemetry", None)
@@ -380,7 +380,7 @@ class Supervisor:
         elif rec.kind == "path-server":
             mode, duration = self._restart_path_server(rec, now)
         else:  # "ca"
-            mode, duration = "restart", self.warm_restore_s
+            mode, duration = "restart", self.WARM_RESTORE_S
         rec.state = ServiceState.RECOVERING
         rec.recovered_at = now + duration
         rec.restarts += 1
@@ -399,7 +399,7 @@ class Supervisor:
             self.network.flush_path_cache()
             self._replay_revocations(now)
             self.stats.warm_restarts += 1
-            return "warm", self.warm_restore_s
+            return "warm", self.WARM_RESTORE_S
         # Cold: start from empty stores and re-beacon to a fixed point.
         engine = self.network.run_beaconing(now=now)
         self.network.flush_path_cache()
@@ -421,7 +421,7 @@ class Supervisor:
             service.path_server.restore(checkpoint)
             self._replay_revocations(now)
             self.stats.warm_restarts += 1
-            return "warm", self.warm_restore_s
+            return "warm", self.WARM_RESTORE_S
         # Cold: re-register up segments from the beaconing engine's store.
         engine = self.network.beaconing
         if not self.network.topology.get(ia).is_core:

@@ -22,8 +22,8 @@ every percentage quoted in the paper falls out of the analysis exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Tuple
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 Section 2 of the paper: "The end-host stack for a SCION network can be
 broadly divided into three core components: the daemon, bootstrapper, and
-application library." All three live here, together with the path policies
-and the Happy-Eyeballs-style SCION/IP racing from Section 4.2.
+application library." All three live here, together with the path policies.
 """
 
 from repro.endhost.daemon import Daemon
@@ -19,7 +18,6 @@ from repro.endhost.policy import (
     policy_from_commandline,
 )
 from repro.endhost.pan import AppLibraryMode, PanContext, ScionHost, ScionSocket
-from repro.endhost.happy_eyeballs import HappyEyeballs, ConnectionAttempt
 
 __all__ = [
     "Daemon",
@@ -36,6 +34,4 @@ __all__ = [
     "PanContext",
     "ScionHost",
     "ScionSocket",
-    "HappyEyeballs",
-    "ConnectionAttempt",
 ]

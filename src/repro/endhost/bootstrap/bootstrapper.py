@@ -12,13 +12,12 @@ and make use of SCIERA."
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.overload import CircuitBreaker, RetryBudget
 from repro.core.retry import RetryPolicy
 from repro.errors import ReproError
-from repro.obs import Telemetry, resolve
 from repro.endhost.bootstrap.hinting import (
     Hint,
     HintMechanism,
@@ -28,7 +27,6 @@ from repro.endhost.bootstrap.server import BootstrapServer, TopologyDocument
 from repro.endhost.bootstrap.timing import OS_MODELS, OsTimingModel
 from repro.scion.crypto.cppki import CertificateError, verify_chain
 from repro.scion.crypto.trc import Trc, TrcError, verify_trc_chain
-from repro.scion.dataplane.underlay import IntraAsNetwork
 
 
 class BootstrapError(ReproError):
@@ -96,14 +94,10 @@ class Bootstrapper:
         environment: NetworkEnvironment,
         servers: Dict[Tuple[str, int], BootstrapServer],
         os_name: str = "Linux",
-        underlay: Optional[IntraAsNetwork] = None,
-        client_ip: str = "",
         preference: Sequence[HintMechanism] = DEFAULT_PREFERENCE,
         rng: Optional[random.Random] = None,
-        now: float = 0.0,
         pinned_trcs: Optional[Sequence[Trc]] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        telemetry: Optional[Telemetry] = None,
         retry_budget: Optional["RetryBudget"] = None,
         breaker: Optional["CircuitBreaker"] = None,
     ):
@@ -114,11 +108,8 @@ class Bootstrapper:
         self.environment = environment
         self.servers = servers
         self.timing: OsTimingModel = OS_MODELS[os_name]
-        self.underlay = underlay
-        self.client_ip = client_ip
         self.preference = tuple(preference)
         self.rng = rng or random.Random(0xB007)
-        self.now = now
         self.pinned_trcs = list(pinned_trcs or [])
         #: None = fail fast on the first error (the pre-chaos behaviour)
         self.retry_policy = retry_policy
@@ -129,20 +120,6 @@ class Bootstrapper:
         #: cannot DDoS a browned-out bootstrap server.
         self.retry_budget = retry_budget
         self.breaker = breaker
-        tel = resolve(telemetry)
-        self._telemetry = tel
-        if tel.enabled:
-            self._attempt_counter = tel.metrics.counter(
-                "bootstrap_attempts_total", "Bootstrap pipeline attempts."
-            )
-            self._transient_counter = tel.metrics.counter(
-                "bootstrap_transient_failures_total",
-                "Transient bootstrap failures (outages, dead hints).",
-            )
-            self._latency_hist = tel.metrics.histogram(
-                "bootstrap_latency_seconds",
-                "End-to-end bootstrap latency (probes + fetch + backoff).",
-            )
 
     # -- step 1: hint discovery ---------------------------------------------------
 
@@ -190,10 +167,7 @@ class Bootstrapper:
                 f"hint points at {hint.server_ip}:{hint.server_port} "
                 "but no bootstrap server answers there"
             )
-        rtt = 0.002
-        if self.underlay is not None and self.client_ip:
-            rtt = 2 * self.underlay.latency_s(self.client_ip, server.ip)
-        latency = self.timing.sample_http_s(rtt, self.rng)
+        latency = self.timing.sample_http_s(0.002, self.rng)
         latency += server.processing_s
         try:
             document = server.get_topology()
@@ -246,9 +220,8 @@ class Bootstrapper:
         if not document.verify_signature():
             raise BootstrapError("topology document signature invalid")
         try:
-            verify_chain(document.certificate_chain, trc, now=max(
-                self.now, trc.not_before
-            ))
+            verify_chain(document.certificate_chain, trc,
+                         now=max(0.0, trc.not_before))
         except CertificateError as exc:
             raise BootstrapError(
                 f"topology signer certificate chain invalid: {exc}"
@@ -270,27 +243,6 @@ class Bootstrapper:
         network advertises several.  All time spent (failed probes, failed
         fetches, backoff waits) lands in the result's latency fields.
         """
-        tel = self._telemetry
-        root = None
-        if tel.enabled:
-            root = tel.tracer.open("bootstrap.run", now=self.now,
-                                   client=self.client_ip or "host")
-        try:
-            result = self._bootstrap(root)
-        except BootstrapError as exc:
-            if root is not None:
-                tel.tracer.end(root, status="error")
-                root.attrs["error"] = str(exc)
-            raise
-        if root is not None:
-            tel.tracer.end(root, now=self.now + result.total_latency_s)
-            root.attrs["mechanism"] = result.mechanism.name
-            root.attrs["attempts"] = str(result.attempts)
-            self._latency_hist.observe(result.total_latency_s)
-        return result
-
-    def _bootstrap(self, root=None) -> BootstrapResult:
-        tel = self._telemetry
         schedule = self.retry_policy.schedule() if self.retry_policy else None
         failed_servers: Set[Tuple[str, int]] = set()
         hint_total = 0.0
@@ -301,7 +253,7 @@ class Bootstrapper:
         if self.retry_budget is not None:
             self.retry_budget.on_request()
         while True:
-            now_est = self.now + hint_total + config_total + wait_total
+            now_est = hint_total + config_total + wait_total
             if self.breaker is not None and not self.breaker.allow(now_est):
                 raise TransientBootstrapError(
                     "bootstrap circuit open: server browned out, waiting "
@@ -309,8 +261,6 @@ class Bootstrapper:
                     cost_s=0.0,
                 )
             attempts += 1
-            if tel.enabled:
-                self._attempt_counter.inc()
             hint: Optional[Hint] = None
             try:
                 hint, hint_latency, tried = self.discover_hint(
@@ -318,24 +268,11 @@ class Bootstrapper:
                 )
                 hint_total += hint_latency
                 tried_total += tried
-                if root is not None:
-                    tel.tracer.add(
-                        "bootstrap.hint", now=self.now + hint_total,
-                        parent=root, mechanism=hint.mechanism.name,
-                        tried=str(tried),
-                    )
                 document, trcs, config_latency = self.fetch_config(hint)
                 config_total += config_latency
-                if root is not None:
-                    tel.tracer.add(
-                        "bootstrap.fetch",
-                        now=self.now + hint_total + config_total + wait_total,
-                        parent=root,
-                        server=f"{hint.server_ip}:{hint.server_port}",
-                    )
                 if self.breaker is not None:
                     self.breaker.record_success(
-                        self.now + hint_total + config_total + wait_total
+                        hint_total + config_total + wait_total
                     )
                 return BootstrapResult(
                     topology=document,
@@ -351,14 +288,6 @@ class Bootstrapper:
                     ),
                 )
             except TransientBootstrapError as exc:
-                if tel.enabled:
-                    self._transient_counter.inc()
-                if root is not None:
-                    tel.tracer.add(
-                        "bootstrap.transient-failure",
-                        now=self.now + hint_total + config_total + wait_total,
-                        parent=root, status="error", detail=str(exc),
-                    )
                 if hint is None:
                     # Discovery itself failed: every known hint points at a
                     # failed server. Wipe the exclusions so the next attempt
@@ -371,7 +300,7 @@ class Bootstrapper:
                     failed_servers.add((hint.server_ip, hint.server_port))
                 if self.breaker is not None:
                     self.breaker.record_failure(
-                        self.now + hint_total + config_total + wait_total
+                        hint_total + config_total + wait_total
                     )
                 if schedule is None:
                     raise

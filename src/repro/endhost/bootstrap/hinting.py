@@ -12,8 +12,8 @@ network environment, and reproduces Table 2's applicability matrix
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 
 class HintMechanism(enum.Enum):

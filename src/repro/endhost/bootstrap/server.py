@@ -12,8 +12,8 @@ An HTTP server inside the AS serving two things:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.scion.addr import IA
 from repro.scion.crypto.ca import IssuedCertificate
@@ -59,8 +59,8 @@ class TopologyDocument:
 class BootstrapServer:
     """Serves the signed topology and the TRCs for one AS."""
 
-    #: default HTTP port for the discovery service
-    DEFAULT_PORT = 8041
+    #: HTTP port of the discovery service
+    PORT = 8041
 
     def __init__(
         self,
@@ -69,11 +69,9 @@ class BootstrapServer:
         certificate: IssuedCertificate,
         trcs: Sequence[Trc],
         ip: str = "",
-        port: int = DEFAULT_PORT,
-        dispatcherless: bool = True,
     ):
         self.ip = ip or topology.control_address
-        self.port = port
+        self.port = self.PORT
         #: Time to serve one discovery request.
         self.processing_s = 0.002
         self._trcs = list(trcs)
@@ -83,7 +81,7 @@ class BootstrapServer:
             border_router_addresses=tuple(topology.border_routers),
             control_service_address=topology.control_address,
             mtu=topology.mtu,
-            dispatcherless=dispatcherless,
+            dispatcherless=True,
         )
         signature = sign(signing_key, unsigned.payload_bytes())
         self._document = TopologyDocument(

@@ -11,9 +11,8 @@ the long right tail visible in the paper's box plots.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.endhost.bootstrap.hinting import HintMechanism

@@ -24,8 +24,7 @@ Resilience semantics (the deployment lessons of Section 5.4):
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.overload import OverloadRejected
 from repro.errors import ReproError

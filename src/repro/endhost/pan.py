@@ -17,25 +17,24 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.overload import CircuitBreaker, RetryBudget
-from repro.endhost.bootstrap.bootstrapper import (
-    Bootstrapper,
-    BootstrapError,
-    BootstrapResult,
-)
+from repro.endhost.bootstrap.bootstrapper import Bootstrapper, BootstrapResult
 from repro.endhost.daemon import Daemon
-from repro.endhost.policy import LowestLatencyPolicy, PathPolicy, ShortestPolicy
+from repro.endhost.policy import LowestLatencyPolicy, PathPolicy
 from repro.errors import ReproError
 from repro.obs import NOOP_TELEMETRY, Telemetry
 from repro.scion.addr import HostAddr, IA
-from repro.scion.dataplane.underlay import IntraAsNetwork
 from repro.scion.network import ScionNetwork
-from repro.scion.packet import ScionPacket, UnderlayFrame
 from repro.scion.path import PathMeta
 from repro.scion.revocation import Revocation
+
+
+#: One-way intra-AS latency from a host to its border router (the IP-UDP
+#: "Layer 2.5" first and last mile, Section 4.3.1).
+FIRST_MILE_S = 0.0004
 
 
 class PanError(ReproError):
@@ -79,9 +78,6 @@ class SendResult:
     #: failures — lets the caller skip *every* path over the dead link.
     revocation: Optional[Revocation] = None
 
-    def __bool__(self) -> bool:
-        return self.success
-
 
 class ScionHost:
     """One end host: an IA, an intra-AS IP, and its end-host stack pieces."""
@@ -95,8 +91,6 @@ class ScionHost:
         daemon: Optional[Daemon] = None,
         bootstrap_result: Optional[BootstrapResult] = None,
         bootstrapper: Optional[Bootstrapper] = None,
-        underlay: Optional[IntraAsNetwork] = None,
-        os_name: str = "Linux",
     ):
         if ia not in network.topology.ases:
             raise PanError(f"host placed in unknown AS {ia}")
@@ -107,15 +101,9 @@ class ScionHost:
         self.daemon = daemon
         self.bootstrap_result = bootstrap_result
         self.bootstrapper = bootstrapper
-        self.underlay = underlay
-        self.os_name = os_name
         self.sockets: Dict[int, "ScionSocket"] = {}
         self._next_ephemeral = 40000
         registry.register(self)
-
-    @property
-    def address(self) -> HostAddr:
-        return HostAddr(self.ia, self.ip, 0)
 
     def allocate_port(self) -> int:
         while self._next_ephemeral in self.sockets:
@@ -123,13 +111,6 @@ class ScionHost:
         port = self._next_ephemeral
         self._next_ephemeral += 1
         return port
-
-    def underlay_latency_to_router_s(self) -> float:
-        """One-way intra-AS latency from this host to its border router."""
-        if self.underlay is None:
-            return 0.0004
-        router_ip = self.network.topology.get(self.ia).border_routers[0]
-        return self.underlay.latency_s(self.ip, router_ip)
 
 
 class PanContext:
@@ -430,9 +411,7 @@ class ScionSocket:
                 False, failure="port-unreachable", path=meta,
                 paths_tried=paths_tried,
             )
-        first_mile = self.host.underlay_latency_to_router_s()
-        last_mile = dst_host.underlay_latency_to_router_s()
-        one_way = probe.one_way_s + first_mile + last_mile
+        one_way = probe.one_way_s + FIRST_MILE_S + FIRST_MILE_S
         reply = dst_sock._handle(payload, self.local_address, meta)
         rtt = 2 * one_way if reply is not None else 0.0
         return SendResult(
@@ -463,8 +442,6 @@ class ScionSocket:
         if dst_host is None or dst.port not in dst_host.sockets:
             return SendResult(False, failure="no-such-host")
         latency = 0.0005
-        if self.host.underlay is not None:
-            latency = self.host.underlay.latency_s(self.host.ip, dst.host)
         reply = dst_host.sockets[dst.port]._handle(
             payload, self.local_address, None
         )

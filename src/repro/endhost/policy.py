@@ -200,7 +200,7 @@ class PreferencePolicy(PathPolicy):
 
     AVAILABLE = ("latency", "hops", "disjointness", "carbon")
 
-    def __init__(self, preference: str, reference: Iterable[PathMeta] = ()):
+    def __init__(self, preference: str):
         self._criteria = [c.strip() for c in preference.split(",") if c.strip()]
         unknown = [c for c in self._criteria if c not in self.AVAILABLE]
         if unknown:
@@ -210,7 +210,6 @@ class PreferencePolicy(PathPolicy):
             )
         if not self._criteria:
             raise PolicyError("empty preference string")
-        self._reference = list(reference)
 
     def order(self, paths: Sequence[PathMeta]) -> List[PathMeta]:
         def key(meta: PathMeta):
@@ -225,7 +224,10 @@ class PreferencePolicy(PathPolicy):
                 elif criterion == "hops":
                     parts.append(meta.path.num_as_hops())
                 elif criterion == "disjointness":
-                    parts.append(meta.shared_interfaces(self._reference))
+                    # The command line names no reference paths: no path
+                    # shares an interface with them, so this criterion
+                    # leaves the order to the next one.
+                    parts.append(0)
                 elif criterion == "carbon":
                     parts.append(meta.carbon_gco2_per_gb)
             parts.append(meta.fingerprint)

@@ -43,8 +43,6 @@ C = IA.parse("71-300")
 CHECK_INTERVAL_S = 0.25
 #: One synchronous beaconing round during a cold re-convergence.
 BEACON_ROUND_S = 0.5
-#: Restoring the checkpoint during a warm restart.
-WARM_RESTORE_S = 0.05
 #: Fixed post-crash window over which lookup availability is measured.
 AVAILABILITY_WINDOW_S = 10.0
 #: Cadence of the availability lookups inside that window.
@@ -75,7 +73,6 @@ def _crash_trial(seed: int, warm: bool, injector: FaultInjector) -> Dict[str, fl
         checkpoint_interval_s=1.0,
         warm_restart=warm,
         beacon_round_s=BEACON_ROUND_S,
-        warm_restore_s=WARM_RESTORE_S,
         event_sink=injector.record,
     )
     t0 = float(network.timestamp)

@@ -11,7 +11,6 @@ import random
 import statistics
 from typing import Dict, List
 
-from repro.endhost.bootstrap.bootstrapper import Bootstrapper
 from repro.endhost.bootstrap.hinting import HintMechanism
 from repro.endhost.bootstrap.timing import OS_MODELS
 from repro.experiments.common import get_world

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.endhost.pan import PanContext
 from repro.experiments.common import get_world
 from repro.experiments.registry import Comparison, ExperimentResult
-from repro.scion.addr import HostAddr, IA
+from repro.scion.addr import HostAddr
 from repro.sciera.apps import (
     Bat,
     MiniHttpServer,

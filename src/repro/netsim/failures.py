@@ -9,7 +9,7 @@ expresses such timelines as declarative schedules applied to named links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.netsim.link import Link

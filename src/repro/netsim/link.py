@@ -3,8 +3,8 @@
 A link connects two named endpoints and carries frames with a propagation
 delay and an up/down state toggled by failure schedules. Loss, delay and
 duplication come only through the fault seam (:meth:`Link.add_fault`).
-Links are bidirectional; both directions share state and transmitter
-accounting is per direction.
+Links are bidirectional; both directions share state.  A link keeps no
+clock of its own: every frame leaves at its simulator's ``now``.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ class Link:
         #: Registered faults, oldest first (see :meth:`add_fault`).
         self._faults: dict = {}
         self.stats = LinkStats()
-        # Time at which each direction's transmitter becomes free.
-        self._tx_free_at = {a: 0.0, b: 0.0}
 
     def other(self, endpoint: Any) -> Any:
         if endpoint == self.a:
@@ -103,10 +101,10 @@ class Link:
     ) -> None:
         """Send a frame from ``sender``; call ``deliver`` at the far end.
 
-        Each direction's transmitter sends frames in FIFO order: a frame
-        leaves no earlier than the one before it.
+        The frame leaves at ``sim.now``; frames sent at one instant with
+        the same delay arrive in send order.
         """
-        if sender not in self._tx_free_at:
+        if sender != self.a and sender != self.b:
             raise ValueError(f"{sender!r} is not an endpoint of link {self.name}")
         if not self.up:
             self.stats.frames_dropped_down += 1
@@ -122,10 +120,9 @@ class Link:
                     drop(verdict)
                 return
             delay_s, copies = verdict
-        while copies:  # each copy queues (FIFO)
+        start = sim.now
+        while copies:
             copies -= 1
-            start = max(sim.now, self._tx_free_at[sender])
-            self._tx_free_at[sender] = start
             self.stats.frames_sent += 1
             self.stats.bytes_sent += size_bytes
             sim.schedule_at(start + delay_s, self._deliver_if_up, deliver, drop)

@@ -5,8 +5,8 @@ Two migration patterns, chosen per class by hot-path cost:
 * :class:`CounterBackedStats` — the class's public fields become thin
   read-only views over registry counters (the fields tests read keep
   working; increments go through :meth:`inc`).  Used by the central
-  dataplane/control-plane stats (``RouterStats``, ``DataPathStats``,
-  ``RegistryStats``, ``DaemonStats``).
+  dataplane/control-plane stats (``RouterStats``, ``RegistryStats``,
+  ``DaemonStats``).
 * :func:`register_stats_collector` — a pull-style collector snapshots a
   plain dataclass's numeric fields into gauges at export time.  Only
   ``SupervisorStats`` uses it: its ``+=`` increment sites stay plain and
@@ -72,10 +72,6 @@ class CounterBackedStats:
 
     def as_dict(self) -> Dict[str, float]:
         return {name: getattr(self, name) for name in self.FIELDS}
-
-    def __repr__(self) -> str:  # keeps debugging output useful
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"{type(self).__name__}({inner})"
 
 
 def reset_stats(stats: object) -> None:

@@ -16,7 +16,7 @@ the pair went down, not that the prober noticed again.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 

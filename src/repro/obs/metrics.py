@@ -83,9 +83,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def add(self, amount: float = 1.0) -> None:
-        self.value += amount
-
     def reset(self) -> None:
         self.value = 0.0
 
@@ -364,9 +361,6 @@ class _NullGauge(Gauge):
     def set(self, value: float) -> None:
         pass
 
-    def add(self, amount: float = 1.0) -> None:
-        pass
-
 
 class _NullHistogram(Histogram):
     __slots__ = ()
@@ -394,8 +388,3 @@ class NullRegistry(MetricsRegistry):
     def histogram(self, name: str, help_text: str = "",
                   labels: Labels = None) -> Histogram:
         return _NULL_HISTOGRAM
-
-    def register_collector(
-        self, collector: Callable[[MetricsRegistry], None]
-    ) -> None:
-        pass

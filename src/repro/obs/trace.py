@@ -238,10 +238,6 @@ class NullTracer(Tracer):
         super().__init__()
         self._dummy = Span("trace-0000", "span-000000", None, "noop", 0.0, 0.0)
 
-    def begin(self, name: str, now: Optional[float] = None,
-              **attrs: object) -> Span:
-        return self._dummy
-
     def open(self, name: str, now: Optional[float] = None,
              parent: Optional[Span] = None, **attrs: object) -> Span:
         return self._dummy

@@ -10,15 +10,8 @@ from repro.sciera.topology_data import (
     build_ip_internet,
 )
 from repro.sciera.build import ScieraWorld, build_sciera
-from repro.sciera.sig import ScionIpGateway, SigFabric, LegacyIpPacket
-from repro.sciera.showpaths import showpaths, format_report
 
 __all__ = [
-    "ScionIpGateway",
-    "SigFabric",
-    "LegacyIpPacket",
-    "showpaths",
-    "format_report",
     "SCIERA_PARTICIPANTS",
     "SCIERA_LINKS",
     "SCIERA_POPS",

@@ -17,8 +17,8 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.endhost.pan import PanContext, ScionSocket, SendResult
-from repro.endhost.policy import PathPolicy, policy_from_commandline
+from repro.endhost.pan import PanContext, SendResult
+from repro.endhost.policy import policy_from_commandline
 from repro.errors import ReproError
 from repro.scion.addr import AddrError, HostAddr
 
@@ -98,10 +98,6 @@ class MiniHttpServer:
         self.requests_seen: List[Tuple[str, Dict[str, str]]] = []
         self.socket.on_message(self._serve)
 
-    @property
-    def address(self) -> HostAddr:
-        return self.socket.local_address
-
     def route(self, path: str, handler: Callable[[Dict[str, str]], bytes]) -> None:
         self.routes[path] = handler
 
@@ -129,9 +125,9 @@ class ScionBatTransport:
     to a SCION-enabled one, mangle SCION addresses in URLs.
     """
 
-    def __init__(self, context, sequence="", preference="", interactive=False,
+    def __init__(self, context, preference="", interactive=False,
                  chooser=None):
-        self.policy = policy_from_commandline(sequence, preference,
+        self.policy = policy_from_commandline("", preference,
                                               interactive, chooser)
         self.socket = context.open_socket()
 
@@ -148,13 +144,12 @@ class Bat:
     def __init__(
         self,
         context: PanContext,
-        sequence: str = "",
         preference: str = "",
         interactive: bool = False,
         chooser=None,
     ):
         self._transport = ScionBatTransport(
-            context, sequence, preference, interactive, chooser
+            context, preference, interactive, chooser
         )
 
     def get(self, url: str, headers: Optional[Dict[str, str]] = None) -> HttpResponse:
@@ -216,10 +211,6 @@ class ReverseProxy:
         self.backend = backend
         self.proxied = 0
         self.plugin.socket.on_message(self._proxy)
-
-    @property
-    def address(self) -> HostAddr:
-        return self.plugin.socket.local_address
 
     def _proxy(self, payload, src, path_meta):
         try:

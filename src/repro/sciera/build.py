@@ -8,8 +8,8 @@ participant — ready for measurement campaigns and applications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.endhost.bootstrap.bootstrapper import Bootstrapper
 from repro.endhost.bootstrap.hinting import NetworkEnvironment
@@ -57,9 +57,6 @@ class ScieraWorld:
             os_name=os_name,
             rng=rng,
         )
-
-    def set_link_state(self, link_name: str, up: bool) -> None:
-        self.network.set_link_state(link_name, up)
 
 
 def build_sciera(

@@ -14,8 +14,8 @@ multipath aggregation win and the dispatcher wall for the ablation bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.scion.addr import IA

@@ -13,9 +13,8 @@ counters the Science-DMZ experiments and tests read.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from repro.obs import Telemetry, resolve

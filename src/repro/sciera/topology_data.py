@@ -15,7 +15,7 @@ at the median while SCION wins in the tail (Figure 5/6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.netsim.geo import city, propagation_delay_s
 from repro.netsim.ip import IpInternet

@@ -15,8 +15,8 @@ rather than ``k`` copies of near-identical routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs import Telemetry, resolve
 from repro.scion.addr import IA

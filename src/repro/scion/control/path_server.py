@@ -12,7 +12,7 @@ end-host bootstrapping and first-connection timing (Figure 4) depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ReproError
 from repro.obs import CounterBackedStats, Telemetry, resolve
 from repro.scion.addr import IA
-from repro.scion.control.segments import Beacon, SegmentType
+from repro.scion.control.segments import Beacon
 from repro.scion.revocation import Revocation, segment_crosses
 
 if TYPE_CHECKING:  # imported lazily: repro.core pulls in scion modules

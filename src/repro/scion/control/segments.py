@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -25,11 +25,9 @@ from repro.scion.addr import IA
 from repro.scion.crypto.cppki import Certificate, CertificateError, verify_chain
 from repro.scion.crypto.encoding import canonical_bytes
 from repro.scion.crypto.keys import SymmetricKey
-from repro.scion.crypto.mac import chain_beta
 from repro.scion.crypto.rsa import RsaKeyPair, RsaPublicKey, sign, verify
 from repro.scion.crypto.trc import Trc
 from repro.scion.path import (
-    DataplanePath,
     HopField,
     InfoField,
     PathSegmentHops,

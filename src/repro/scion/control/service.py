@@ -17,7 +17,7 @@ from repro.scion.control.path_server import LocalPathServer
 from repro.scion.crypto.ca import CaService, IssuedCertificate
 from repro.scion.crypto.keys import SymmetricKey
 from repro.scion.crypto.rsa import RsaKeyPair
-from repro.scion.crypto.trc import Trc, TrcError, verify_trc_chain
+from repro.scion.crypto.trc import Trc, TrcError
 from repro.scion.topology import AsTopology
 
 

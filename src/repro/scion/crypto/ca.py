@@ -9,7 +9,7 @@ ahead of expiry, and records issuance history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING

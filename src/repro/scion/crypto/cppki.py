@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ReproError
 from repro.scion.crypto.encoding import canonical_bytes

@@ -21,7 +21,7 @@ Epochs bound key lifetime so compromise heals without revocation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ReproError
 from repro.scion.crypto.keys import SymmetricKey

@@ -11,7 +11,7 @@ voters signed it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.scion.crypto.encoding import canonical_bytes

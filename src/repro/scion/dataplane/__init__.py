@@ -1,13 +1,8 @@
-"""SCION data plane: border routers, underlay, dispatcher, delivery."""
+"""SCION data plane: border routers, delivery, the end-host data path."""
 
 from repro.scion.dataplane.router import BorderRouter, RouterDecision, Verdict
 from repro.scion.dataplane.network import ScionDataplane, ProbeResult
-from repro.scion.dataplane.dispatcher import (
-    Dispatcher,
-    DispatcherlessStack,
-    EndHostDataPathModel,
-)
-from repro.scion.dataplane.underlay import IntraAsNetwork, IpSegment
+from repro.scion.dataplane.dispatcher import EndHostDataPathModel
 
 __all__ = [
     "BorderRouter",
@@ -15,9 +10,5 @@ __all__ = [
     "Verdict",
     "ScionDataplane",
     "ProbeResult",
-    "Dispatcher",
-    "DispatcherlessStack",
     "EndHostDataPathModel",
-    "IntraAsNetwork",
-    "IpSegment",
 ]

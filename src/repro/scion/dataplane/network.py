@@ -8,12 +8,12 @@ lead to the next AS on the path"):
   campaigns (millions of pings): verifies every hop MAC, checks link state
   and registered link faults, and returns the round-trip time analytically.
 * :meth:`ScionDataplane.send` — event-driven delivery through the
-  discrete-event simulator, used by the packet-level experiments
-  (dispatcher bottleneck, Hercules transfers).
+  discrete-event simulator, hop by hop over :meth:`Link.transmit` (the
+  ``packet_events`` benchmark workload and the dataplane tests).
 
-They do not share queueing (egress queues and link transmitters exist only
-event-driven: the walk is a send on an idle network) nor, today, the
-processing-delay accounting: the walk charges ``ROUTER_PROCESSING_S`` at
+They do not share queueing (egress queues exist only event-driven: the
+walk is a send on an idle network) nor, today, the processing-delay
+accounting: the walk charges ``ROUTER_PROCESSING_S`` at
 every router, ``send`` only at crossover and delivery, because the
 ``packet_events`` digest pins arrival times (ROADMAP 6(a), the
 benchmark-only change, is where both charge it alike and that digest is
@@ -99,9 +99,6 @@ class ProbeResult:
     #: Revocation minted from ``scmp`` when it is interface-scoped, signed
     #: by the failing AS if its signing key is known to the dataplane.
     revocation: Optional[Revocation] = None
-
-    def __bool__(self) -> bool:
-        return self.success
 
 
 #: Per-router processing latency (MAC check + header rewrite), one direction.

@@ -20,15 +20,15 @@ segments), and :meth:`active_paths` applies the paper's definition of an
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs import Telemetry, resolve
 from repro.scion.addr import IA
 from repro.scion.control.beaconing import BeaconingEngine
 from repro.scion.control.combinator import CoreHalf, combine_paths
 from repro.scion.control.path_server import LocalPathServer, SegmentRegistry
-from repro.scion.control.segments import Beacon, BeaconError
+from repro.scion.control.segments import Beacon
 from repro.scion.control.service import ControlService, TrustStore
 from repro.scion.crypto.ca import CaService
 from repro.scion.crypto.cppki import (

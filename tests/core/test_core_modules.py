@@ -1,5 +1,4 @@
-"""Tests for the core package: deployment, monitoring, survey, transit
-policy."""
+"""Tests for the core package: deployment, monitoring, survey."""
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.core.deployment import (
     learning_curve,
 )
 from repro.core.monitoring import ConnectivityMonitor
-from repro.core.policy import ScieraTransitPolicy
 from repro.core.survey import OPERATOR_SURVEY, SurveyAnalysis
 from repro.netsim.simulator import Simulator
 from repro.scion.addr import IA
@@ -194,50 +192,3 @@ class TestSurvey:
 
     def test_personnel_cost(self):
         assert SurveyAnalysis().typical_personnel_cost_usd() == 20_000
-
-
-class TestTransitPolicy:
-    def test_commercial_endpoint_allowed(self, world):
-        policy = ScieraTransitPolicy()
-        paths = world.network.paths(IA.parse("71-2:0:42"), IA.parse("64-2:0:9"))
-        permitted = policy.order(paths)
-        # Terminating in the commercial ISD is fine.
-        assert permitted
-
-    def test_commercial_transit_rejected(self):
-        """Commercial -> SCIERA -> commercial is the forbidden pattern."""
-        policy = ScieraTransitPolicy()
-        sequence = [
-            IA.parse("64-559"), IA.parse("71-1"), IA.parse("71-2"),
-            IA.parse("64-100"),
-        ]
-        decision = policy.evaluate(sequence)
-        assert not decision.permitted
-        assert "transit" in decision.reason
-
-    def test_explicit_commercial_as(self):
-        policy = ScieraTransitPolicy(
-            commercial_ases=[IA.parse("71-999"), IA.parse("71-888")],
-            commercial_isds=[],
-        )
-        bad = [IA.parse("71-999"), IA.parse("71-1"), IA.parse("71-888")]
-        good = [IA.parse("71-999"), IA.parse("71-888"), IA.parse("71-1")]
-        assert not policy.evaluate(bad).permitted
-        assert policy.evaluate(good).permitted
-
-    def test_audit_covers_all_paths(self, world):
-        policy = ScieraTransitPolicy()
-        paths = world.network.paths(IA.parse("71-225"), IA.parse("71-2:0:5c"))
-        audit = policy.audit(paths)
-        assert len(audit) == len(paths)
-
-    def test_no_sciera_path_transits_commercial_isd(self, world):
-        """Structural check: ISD 64 hangs off the edge, so no ISD-71 pair
-        can route through it — the deployment enforces the paper's policy
-        by construction."""
-        policy = ScieraTransitPolicy()
-        net = world.network
-        for src, dst in [("71-225", "71-2:0:5c"), ("71-2:0:3b", "71-20965")]:
-            for meta in net.paths(IA.parse(src), IA.parse(dst)):
-                assert policy.evaluate(meta.as_sequence).permitted
-

@@ -45,7 +45,6 @@ def _supervisor(network, **kwargs):
     kwargs.setdefault("check_interval_s", 0.5)
     kwargs.setdefault("checkpoint_interval_s", 1.0)
     kwargs.setdefault("beacon_round_s", 0.5)
-    kwargs.setdefault("warm_restore_s", 0.05)
     return Supervisor(network, **kwargs)
 
 

@@ -18,7 +18,6 @@ from repro.endhost.bootstrap import (
 )
 from repro.endhost.bootstrap.hinting import TABLE2_MECHANISMS
 from repro.scion.addr import IA
-from repro.scion.dataplane.underlay import IntraAsNetwork
 
 A = IA.parse("71-100")
 
@@ -195,21 +194,6 @@ class TestBootstrapper:
             env, servers, rng=random.Random(8), pinned_trcs=[net.trc_for(71)]
         )
         assert bootstrapper.bootstrap().topology.ia == A
-
-    def test_underlay_latency_feeds_config_fetch(self, bootstrap_setup):
-        net, server, env, servers = bootstrap_setup
-        campus = IntraAsNetwork(base_latency_s=0.02, segment_hop_s=0.03)
-        campus.add_segment("dmz")
-        campus.add_segment("wifi")
-        campus.connect_segments("dmz", "wifi")
-        campus.add_host(server.ip, "dmz")
-        campus.add_host("192.168.1.7", "wifi")
-        near = Bootstrapper(env, servers, rng=random.Random(9))
-        far = Bootstrapper(
-            env, servers, rng=random.Random(9),
-            underlay=campus, client_ip="192.168.1.7",
-        )
-        assert far.bootstrap().config_latency_s > near.bootstrap().config_latency_s
 
     def test_all_oses_bootstrap_quickly(self, bootstrap_setup):
         """Figure 4's claim: medians well under 150 ms on every OS."""

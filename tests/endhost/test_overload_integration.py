@@ -24,7 +24,7 @@ from repro.endhost.pan import HostRegistry, PanContext, ScionHost
 from repro.endhost.policy import LowestLatencyPolicy
 from repro.netsim.chaos import FaultInjector, FaultProfile
 from repro.scion.addr import HostAddr, IA
-from repro.scion.scmp import queue_full
+from tests.scion.reference_codec import queue_full
 
 A = IA.parse("71-100")
 B = IA.parse("71-200")

@@ -1,4 +1,4 @@
-"""Tests for the daemon, PAN context modes, sockets, and happy eyeballs."""
+"""Tests for the daemon, PAN context modes, and sockets."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.endhost.bootstrap import BootstrapServer, Bootstrapper, NetworkEnvironment
 from repro.endhost.daemon import Daemon
-from repro.endhost.happy_eyeballs import ConnectionAttempt, HappyEyeballs
 from repro.endhost.pan import (
     AppLibraryMode,
     HostRegistry,
@@ -204,60 +203,3 @@ class TestSockets:
         ctx.open_socket(5000)
         with pytest.raises(PanError, match="already bound"):
             ctx.open_socket(5000)
-
-
-class TestHappyEyeballs:
-    def test_scion_wins_when_available_and_fast(self):
-        outcome = HappyEyeballs().race_scion_ip(scion_rtt_s=0.05, ip_rtt_s=0.04)
-        # SCION starts first; IP's 10 ms advantage < 250 ms stagger.
-        assert outcome.winner == "scion"
-        assert not outcome.fallback_used
-
-    def test_ip_fallback_when_scion_unavailable(self):
-        outcome = HappyEyeballs().race_scion_ip(scion_rtt_s=None, ip_rtt_s=0.04)
-        assert outcome.winner == "ip"
-        assert outcome.fallback_used
-
-    def test_ip_wins_when_scion_stalls_past_stagger(self):
-        outcome = HappyEyeballs(stagger_s=0.1).race_scion_ip(
-            scion_rtt_s=0.5, ip_rtt_s=0.01
-        )
-        assert outcome.winner == "ip"
-
-    def test_all_unavailable_raises(self):
-        with pytest.raises(ConnectionError):
-            HappyEyeballs().race_scion_ip(None, None)
-
-    def test_no_attempts_started_after_winner_completes(self):
-        # SCION completes at 50 ms, before IP's 250 ms stagger start: per
-        # RFC 8305 the fallback attempt is never launched.
-        outcome = HappyEyeballs().race_scion_ip(scion_rtt_s=0.05, ip_rtt_s=0.04)
-        assert outcome.winner == "scion"
-        assert outcome.attempts_started == 1
-
-    def test_fallback_start_counted_when_it_races(self):
-        # SCION never completes, so IP starts at 250 ms and wins.
-        outcome = HappyEyeballs().race_scion_ip(scion_rtt_s=None, ip_rtt_s=0.04)
-        assert outcome.attempts_started == 2
-
-    def test_attempt_staggered_past_winner_not_started(self):
-        # scion would finish at 300 ms; ipv6 starts at 100 ms and wins at
-        # 110 ms; ipv4's 200 ms start lies after the win — never launched.
-        outcome = HappyEyeballs(stagger_s=0.1).race([
-            ConnectionAttempt("scion", 0.3, preference_rank=0),
-            ConnectionAttempt("ipv6", 0.01, preference_rank=1),
-            ConnectionAttempt("ipv4", 0.01, preference_rank=2),
-        ])
-        assert outcome.winner == "ipv6"
-        assert outcome.fallback_used
-        assert outcome.attempts_started == 2
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            HappyEyeballs(stagger_s=-1)
-        with pytest.raises(ValueError):
-            HappyEyeballs().race([])
-        with pytest.raises(ValueError):
-            HappyEyeballs().race(
-                [ConnectionAttempt("scion", -0.5)]
-            )

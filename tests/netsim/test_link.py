@@ -22,6 +22,21 @@ def test_transmit_delivers_after_latency():
     assert delivered == [pytest.approx(0.010)]
 
 
+def test_no_transmit_state_outlives_its_simulator():
+    """A frame sent at t=0 arrives at the latency whatever an earlier
+    simulator sent on the same link, here at t=5 s."""
+    link = make_link()
+    earlier = Simulator(start_time=5.0)
+    link.transmit(earlier, "A", 100, deliver=lambda: None)
+    earlier.run_until_idle()
+    arrivals = []
+    for _ in range(2):
+        sim = Simulator()
+        link.transmit(sim, "A", 100, deliver=lambda: arrivals.append(sim.now))
+        sim.run_until_idle()
+    assert arrivals == [0.010, 0.010]
+
+
 def test_frames_queue_behind_transmitter():
     sim = Simulator()
     link = make_link()

@@ -149,9 +149,12 @@ class TestRegistry:
         c.inc(5)
         h = m.histogram("h_seconds")
         h.observe(1.0)
+        g = m.gauge("depth")
+        g.set(3)
         m.reset()
         assert c.value == 0
         assert h.count == 0
+        assert g.value == 0
 
 
 class TestNullRegistry:

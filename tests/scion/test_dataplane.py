@@ -1,5 +1,5 @@
-"""Tests for the data plane: router verdicts, probes, DES delivery,
-dispatcher models, and the intra-AS underlay."""
+"""Tests for the data plane: router verdicts, probes, DES delivery, and
+the end-host data path model."""
 
 import dataclasses
 import hashlib
@@ -10,14 +10,8 @@ import pytest
 from repro.netsim.simulator import Simulator
 from repro.scion.addr import IA, HostAddr
 from repro.scion.crypto.keys import SymmetricKey
-from repro.scion.dataplane.dispatcher import (
-    Dispatcher,
-    DispatcherError,
-    DispatcherlessStack,
-    EndHostDataPathModel,
-)
+from repro.scion.dataplane.dispatcher import EndHostDataPathModel
 from repro.scion.dataplane.router import QUEUE_CAPACITY
-from repro.scion.dataplane.underlay import IntraAsNetwork, UnderlayError
 from repro.scion.packet import ScionPacket
 from repro.scion.scmp import (
     CODE_PATH_EXPIRED,
@@ -30,6 +24,7 @@ from repro.scion.path import (
     PathSegmentHops,
     InfoField,
 )
+from tests.scion.reference_codec import reverse_packet
 
 A = IA.parse("71-100")
 B = IA.parse("71-200")
@@ -286,7 +281,7 @@ class TestEventDrivenDelivery:
         rtt = []
 
         def on_request_delivered(p):
-            reply = p.reversed()
+            reply = reverse_packet(p)
             diamond_network.dataplane.send(
                 sim, reply, on_delivered=lambda r: rtt.append(sim.now)
             )
@@ -321,91 +316,29 @@ class TestEventSchedule:
             ).path)
             for name in hosts if name != source
         ]
-        # The session world's links remember when their transmitters are
-        # free: start on a whole second after all of them, inside the
-        # binade of the build timestamp, so every arrival is bit-identical
-        # whatever ran before — and put them back after, since later tests
-        # send from the build timestamp on.
-        free_at = [
-            (link, dict(link._tx_free_at))
-            for link in network.topology.links.values()
-        ]
-        busy = max(max(times.values()) for _, times in free_at)
-        start = float(math.floor(max(busy, network.timestamp)) + 1)
+        # Start on a whole second inside the binade of the build timestamp,
+        # so every ``sim.now - start`` is bit-identical.
+        start = float(math.floor(network.timestamp) + 1)
         assert start < 2 ** 20
         sim = Simulator(start_time=start)
         arrivals, drops = [], []
-        try:
-            for name, path in routes:
-                packet = ScionPacket(
-                    src=address[source], dst=address[name], path=path,
-                    payload=b"x" * 256,
-                )
-                network.dataplane.send(
-                    sim, packet,
-                    lambda p: arrivals.append((str(p.dst), sim.now - start)),
-                    lambda p, reason, location: drops.append(reason),
-                )
-            sim.run_until_idle()
-        finally:
-            for link, times in free_at:
-                link._tx_free_at = times
+        for name, path in routes:
+            packet = ScionPacket(
+                src=address[source], dst=address[name], path=path,
+                payload=b"x" * 256,
+            )
+            network.dataplane.send(
+                sim, packet,
+                lambda p: arrivals.append((str(p.dst), sim.now - start)),
+                lambda p, reason, location: drops.append(reason),
+            )
+        sim.run_until_idle()
         assert drops == [] and len(arrivals) == 28
         digest = hashlib.sha256(repr(sorted(arrivals)).encode()).hexdigest()[:16]
         assert (sim.events_processed, digest) == (BURST_EVENTS, BURST_DIGEST)
 
 
 class TestDispatcher:
-    def test_single_shared_bottleneck(self):
-        sim = Simulator()
-        dispatcher = Dispatcher(per_packet_s=0.001)
-        seen = {30100: 0, 30200: 0}
-        dispatcher.register(30100, lambda p: seen.__setitem__(30100, seen[30100] + 1))
-        dispatcher.register(30200, lambda p: seen.__setitem__(30200, seen[30200] + 1))
-        for _ in range(10):
-            dispatcher.receive(sim, 30100, "a")
-            dispatcher.receive(sim, 30200, "b")
-        sim.run_until_idle()
-        # 20 packets at 1 ms each through ONE process: finishes at 20 ms.
-        assert sim.now == pytest.approx(0.020)
-        assert seen == {30100: 10, 30200: 10}
-
-    def test_queue_overflow_drops(self):
-        sim = Simulator()
-        dispatcher = Dispatcher(per_packet_s=0.001, queue_limit=5)
-        dispatcher.register(1, lambda p: None)
-        for _ in range(10):
-            dispatcher.receive(sim, 1, "x")
-        sim.run_until_idle()
-        assert dispatcher.stats.delivered == 5
-        assert dispatcher.stats.dropped_queue_full == 5
-
-    def test_unregistered_port_drops(self):
-        sim = Simulator()
-        dispatcher = Dispatcher()
-        dispatcher.receive(sim, 9, "x")
-        assert dispatcher.stats.dropped_no_listener == 1
-
-    def test_duplicate_registration_rejected(self):
-        dispatcher = Dispatcher()
-        dispatcher.register(1, lambda p: None)
-        with pytest.raises(DispatcherError):
-            dispatcher.register(1, lambda p: None)
-
-    def test_dispatcherless_scales_with_cores(self):
-        sim = Simulator()
-        stack = DispatcherlessStack(cores=4, per_packet_s=0.001)
-        count = []
-        for port in range(4):
-            stack.register(port, lambda p: count.append(p))
-        for port in range(4):
-            for _ in range(10):
-                stack.receive(sim, port, "x", flow_hash=port)
-        sim.run_until_idle()
-        # 4 cores x 10 packets x 1 ms in parallel: done at 10 ms, not 40.
-        assert sim.now == pytest.approx(0.010)
-        assert len(count) == 40
-
     def test_datapath_model_capacity_ordering(self):
         dispatcher = EndHostDataPathModel("dispatcher", cores=8)
         dispatcherless = EndHostDataPathModel("dispatcherless", cores=8)
@@ -426,50 +359,3 @@ class TestDispatcher:
             model.goodput_pps(-1)
         with pytest.raises(ValueError):
             EndHostDataPathModel("warp-drive").capacity_pps()
-
-
-class TestUnderlay:
-    def make_campus(self):
-        net = IntraAsNetwork()
-        net.add_segment("dmz", kind="dmz")
-        net.add_segment("wifi", kind="wifi")
-        net.add_segment("lab", kind="vlan")
-        net.connect_segments("dmz", "lab")
-        net.connect_segments("lab", "wifi")
-        net.add_host("10.0.0.2", "dmz")       # border router
-        net.add_host("192.168.1.50", "wifi")  # student laptop
-        net.add_host("10.1.0.9", "lab")
-        return net
-
-    def test_cross_segment_reachability(self):
-        net = self.make_campus()
-        assert net.reachable("192.168.1.50", "10.0.0.2")
-
-    def test_latency_grows_with_segment_hops(self):
-        net = self.make_campus()
-        same = net.latency_s("10.1.0.9", "10.1.0.9")
-        one_hop = net.latency_s("10.1.0.9", "10.0.0.2")
-        two_hops = net.latency_s("192.168.1.50", "10.0.0.2")
-        assert same < one_hop < two_hops
-
-    def test_disconnected_segment_raises(self):
-        net = self.make_campus()
-        net.add_segment("island")
-        net.add_host("172.16.0.1", "island")
-        assert not net.reachable("172.16.0.1", "10.0.0.2")
-        with pytest.raises(UnderlayError):
-            net.latency_s("172.16.0.1", "10.0.0.2")
-
-    def test_duplicate_host_rejected(self):
-        net = self.make_campus()
-        with pytest.raises(UnderlayError):
-            net.add_host("10.0.0.2", "wifi")
-
-    def test_unknown_entities_rejected(self):
-        net = self.make_campus()
-        with pytest.raises(UnderlayError):
-            net.add_host("1.2.3.4", "nope")
-        with pytest.raises(UnderlayError):
-            net.segment_of("8.8.8.8")
-        with pytest.raises(UnderlayError):
-            net.connect_segments("dmz", "nope")

@@ -25,6 +25,7 @@ from repro.scion.network import ScionNetwork
 from repro.scion.packet import ScionPacket
 from repro.scion.path import DataplanePath
 from repro.scion.topology import random_topology
+from tests.scion.reference_codec import reverse_packet
 
 SEEDS = (3, 8)
 
@@ -54,7 +55,7 @@ def _send(dataplane, sim: Simulator, path: DataplanePath, reverse: bool = False)
     now = sim.now
     packet = _packet(path)
     if reverse:
-        packet = packet.reversed()
+        packet = reverse_packet(packet)
     sent = Sent()
 
     def delivered(_packet):

@@ -22,14 +22,9 @@ from repro.scion.revocation import (
     RevocationError,
     revocation_from_scmp,
 )
-from repro.scion.scmp import (
-    echo_request,
-    interface_down,
-    path_expired,
-    queue_full,
-    unknown_path_interface,
-)
+from repro.scion.scmp import interface_down, path_expired, unknown_path_interface
 from repro.scion.topology import TopologyError
+from tests.scion.reference_codec import echo_request, queue_full
 
 A = IA.parse("71-100")
 B = IA.parse("71-200")
@@ -291,7 +286,7 @@ class TestQuarantineSurvivesRestart:
         network = ScionNetwork(diamond_topology(), seed=7)
         supervisor = Supervisor(
             network, check_interval_s=0.5, checkpoint_interval_s=1.0,
-            beacon_round_s=0.5, warm_restore_s=0.05, warm_restart=warm,
+            beacon_round_s=0.5, warm_restart=warm,
         )
         t0 = float(network.timestamp)
         supervisor.tick(t0)  # checkpoint taken BEFORE the revocation
