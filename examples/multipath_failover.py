@@ -13,7 +13,7 @@ Run:  python examples/multipath_failover.py
 
 from repro.endhost.pan import PanContext
 from repro.endhost.policy import LowestLatencyPolicy
-from repro.scion.addr import HostAddr, IA
+from repro.scion.addr import HostAddr
 from repro.sciera.build import build_sciera
 
 CORRIDOR_LEGS = (

@@ -15,7 +15,7 @@ Run:  python examples/quickstart.py
 
 import random
 
-from repro.endhost.pan import PanContext, ScionHost
+from repro.endhost.pan import PanContext
 from repro.endhost.policy import GeofencePolicy, LowestLatencyPolicy
 from repro.scion.addr import HostAddr, IA
 from repro.sciera.build import build_sciera

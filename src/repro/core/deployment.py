@@ -139,10 +139,10 @@ class EffortModel:
         effort *= self.EXPERIENCE_FACTOR ** prior_same_kind
         return max(self.FLOOR, effort)
 
-    def predict_timeline(
-        self, timeline: Sequence[DeploymentRecord] = DEPLOYMENT_TIMELINE
-    ) -> List[Tuple[DeploymentRecord, float]]:
-        ordered = sorted(timeline, key=lambda r: (r.month_index, r.name))
+    def predict_timeline(self) -> List[Tuple[DeploymentRecord, float]]:
+        ordered = sorted(
+            DEPLOYMENT_TIMELINE, key=lambda r: (r.month_index, r.name)
+        )
         seen: Dict[str, int] = {}
         out: List[Tuple[DeploymentRecord, float]] = []
         for record in ordered:
@@ -151,11 +151,9 @@ class EffortModel:
             seen[record.deployment_kind] = prior + 1
         return out
 
-    def correlation_with_observed(
-        self, timeline: Sequence[DeploymentRecord] = DEPLOYMENT_TIMELINE
-    ) -> float:
+    def correlation_with_observed(self) -> float:
         """Pearson correlation of predicted vs observed effort."""
-        predictions = self.predict_timeline(timeline)
+        predictions = self.predict_timeline()
         xs = [pred for _, pred in predictions]
         ys = [record.observed_effort for record, _ in predictions]
         return _pearson(xs, ys)
@@ -175,15 +173,15 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return cov / (vx * vy)
 
 
-def learning_curve(
-    timeline: Sequence[DeploymentRecord] = DEPLOYMENT_TIMELINE,
-) -> Dict[str, object]:
+def learning_curve() -> Dict[str, object]:
     """The Figure 3 claim quantified: effort declines as SCIERA matures.
 
     Returns the observed-effort-vs-time correlation (negative = learning),
     and mean efforts for the first and second half of the timeline.
     """
-    ordered = sorted(timeline, key=lambda r: (r.month_index, r.name))
+    ordered = sorted(
+        DEPLOYMENT_TIMELINE, key=lambda r: (r.month_index, r.name)
+    )
     xs = [float(r.month_index) for r in ordered]
     ys = [r.observed_effort for r in ordered]
     half = len(ordered) // 2

@@ -231,7 +231,6 @@ class OverloadGuard:
     def offer(
         self,
         now: float,
-        service_time_s: Optional[float] = None,
         deadline_s: Optional[float] = None,
         priority: int = 1,
     ) -> Admission:
@@ -241,7 +240,7 @@ class OverloadGuard:
         needs the response.  ``priority`` orders shedding: values at or
         below ``critical_priority`` are never CoDel-shed.
         """
-        svc = self.service_time_s if service_time_s is None else service_time_s
+        svc = self.service_time_s
         self._drain(now)
         backlog = self.queue_delay_s(now)
         verdict = self._decide(now, backlog, svc, deadline_s, priority)
@@ -293,12 +292,11 @@ class OverloadGuard:
     def admit(
         self,
         now: float,
-        service_time_s: Optional[float] = None,
         deadline_s: Optional[float] = None,
         priority: int = 1,
     ) -> Admission:
         """Like :meth:`offer`, but raises :exc:`OverloadRejected` on refusal."""
-        admission = self.offer(now, service_time_s, deadline_s, priority)
+        admission = self.offer(now, deadline_s, priority)
         if not admission.admitted:
             raise OverloadRejected(
                 f"{self.name}: {admission.verdict.value} "
@@ -308,14 +306,6 @@ class OverloadGuard:
                 queue_delay_s=admission.queue_delay_s,
             )
         return admission
-
-    def reset(self) -> None:
-        """Fresh epoch: empty queue, zeroed counters."""
-        self._busy_until = 0.0
-        self._finish_times.clear()
-        self._above_target_since = None
-        self.shed_by_priority.clear()
-        self.stats.reset()
 
 
 _VERDICT_FIELD = {

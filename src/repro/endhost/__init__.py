@@ -8,12 +8,9 @@ application library." All three live here, together with the path policies.
 from repro.endhost.daemon import Daemon
 from repro.endhost.policy import (
     GeofencePolicy,
-    GreenPolicy,
     LowestLatencyPolicy,
-    MostDisjointPolicy,
     PathPolicy,
     PolicyError,
-    SequencePolicy,
     ShortestPolicy,
     policy_from_commandline,
 )
@@ -25,10 +22,7 @@ __all__ = [
     "PolicyError",
     "ShortestPolicy",
     "LowestLatencyPolicy",
-    "MostDisjointPolicy",
     "GeofencePolicy",
-    "GreenPolicy",
-    "SequencePolicy",
     "policy_from_commandline",
     "AppLibraryMode",
     "PanContext",

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.overload import CircuitBreaker, RetryBudget
 from repro.core.retry import RetryPolicy
 from repro.errors import ReproError
 from repro.endhost.bootstrap.hinting import (
@@ -98,8 +97,6 @@ class Bootstrapper:
         rng: Optional[random.Random] = None,
         pinned_trcs: Optional[Sequence[Trc]] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_budget: Optional["RetryBudget"] = None,
-        breaker: Optional["CircuitBreaker"] = None,
     ):
         if os_name not in OS_MODELS:
             raise BootstrapError(
@@ -113,13 +110,6 @@ class Bootstrapper:
         self.pinned_trcs = list(pinned_trcs or [])
         #: None = fail fast on the first error (the pre-chaos behaviour)
         self.retry_policy = retry_policy
-        #: Optional overload discipline on top of the retry policy: each
-        #: retry (not the first attempt) spends a token from the shared
-        #: per-client budget, and an open breaker fails the bootstrap
-        #: locally until its reset timeout — so a fleet of rebooting hosts
-        #: cannot DDoS a browned-out bootstrap server.
-        self.retry_budget = retry_budget
-        self.breaker = breaker
 
     # -- step 1: hint discovery ---------------------------------------------------
 
@@ -250,16 +240,7 @@ class Bootstrapper:
         wait_total = 0.0
         tried_total = 0
         attempts = 0
-        if self.retry_budget is not None:
-            self.retry_budget.on_request()
         while True:
-            now_est = hint_total + config_total + wait_total
-            if self.breaker is not None and not self.breaker.allow(now_est):
-                raise TransientBootstrapError(
-                    "bootstrap circuit open: server browned out, waiting "
-                    "for the breaker's reset timeout",
-                    cost_s=0.0,
-                )
             attempts += 1
             hint: Optional[Hint] = None
             try:
@@ -270,10 +251,6 @@ class Bootstrapper:
                 tried_total += tried
                 document, trcs, config_latency = self.fetch_config(hint)
                 config_total += config_latency
-                if self.breaker is not None:
-                    self.breaker.record_success(
-                        hint_total + config_total + wait_total
-                    )
                 return BootstrapResult(
                     topology=document,
                     trcs=tuple(trcs),
@@ -298,21 +275,8 @@ class Bootstrapper:
                 else:
                     config_total += exc.cost_s
                     failed_servers.add((hint.server_ip, hint.server_port))
-                if self.breaker is not None:
-                    self.breaker.record_failure(
-                        hint_total + config_total + wait_total
-                    )
                 if schedule is None:
                     raise
-                if (
-                    self.retry_budget is not None
-                    and not self.retry_budget.try_retry()
-                ):
-                    raise TransientBootstrapError(
-                        f"bootstrap retry budget exhausted after {attempts} "
-                        f"attempts: {exc}",
-                        cost_s=exc.cost_s,
-                    ) from exc
                 schedule.charge(self.retry_policy.clamp_cost(exc.cost_s))
                 backoff = schedule.next_backoff_s()
                 if backoff is None:

@@ -15,6 +15,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.endhost.bootstrap.server import BootstrapServer
+
 
 class HintMechanism(enum.Enum):
     """The hinting mechanisms of Appendix A (plus the option-72 fallback)."""
@@ -178,10 +180,11 @@ class NetworkEnvironment:
         ip, port = hint
         return Hint(server_ip=ip, server_port=port, mechanism=mechanism)
 
-    def advertise_everywhere(self, ip: str, port: int = 8041) -> None:
-        """Convenience for operators: publish the hint on every channel the
+    def advertise_everywhere(self, ip: str) -> None:
+        """Convenience for operators: publish the hint to the bootstrap
+        server at ``ip`` (on its well-known port) on every channel the
         network has (what the SCION Orchestrator configures by default)."""
-        hint = (ip, port)
+        hint = (ip, BootstrapServer.PORT)
         if self.has_dhcp:
             self.dhcp_vivo_hint = hint
             self.dhcp_option72_hint = hint

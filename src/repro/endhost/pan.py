@@ -9,18 +9,16 @@ This is the paper's Section 4.2 in code:
   bootstraps itself in-process;
 * **drop-in socket** — :class:`ScionSocket` mirrors a classic UDP socket
   (bind / send / receive-handler) while transparently handling the IP-UDP
-  Layer-2.5 encapsulation and exposing path-aware knobs (policy, explicit
-  path, failover).
+  Layer-2.5 encapsulation and exposing path-aware knobs (policy,
+  failover).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.overload import CircuitBreaker, RetryBudget
 from repro.endhost.bootstrap.bootstrapper import Bootstrapper, BootstrapResult
 from repro.endhost.daemon import Daemon
 from repro.endhost.policy import LowestLatencyPolicy, PathPolicy
@@ -238,17 +236,15 @@ class ScionSocket:
         dst: HostAddr,
         payload: bytes,
         policy: Optional[PathPolicy] = None,
-        path: Optional[PathMeta] = None,
         now: float = 0.0,
     ) -> SendResult:
         """Send one datagram; returns delivery outcome (and any reply)."""
         if dst.ia == self.host.ia:
             return self._deliver_local(dst, payload, now)
-        if path is None:
-            try:
-                path = self.context.select_path(dst.ia, policy, now)
-            except PanError as exc:
-                return SendResult(False, failure=str(exc))
+        try:
+            path = self.context.select_path(dst.ia, policy, now)
+        except PanError as exc:
+            return SendResult(False, failure=str(exc))
         return self._send_via(dst, payload, path, now, paths_tried=1)
 
     def send_with_failover(
@@ -258,8 +254,6 @@ class ScionSocket:
         policy: Optional[PathPolicy] = None,
         max_attempts: int = 32,
         now: float = 0.0,
-        retry_budget: Optional[RetryBudget] = None,
-        breaker: Optional[CircuitBreaker] = None,
     ) -> SendResult:
         """Try policy-ordered paths until one delivers (instant failover).
 
@@ -274,18 +268,11 @@ class ScionSocket:
         every queued candidate crossing the revoked interface is skipped
         *before any re-lookup*.  Without a daemon the revocation is
         consumed directly: the library's own cache is evicted and the queue
-        filtered, so all paths over the dead link die in one step.
-
-        ``retry_budget``/``breaker`` bound how hard a degraded destination
-        is hammered: attempts after the first each spend one retry token
-        (``failure="retry-budget-exhausted"`` when the bucket is empty),
-        and an open breaker refuses the send locally
-        (``failure="circuit-open"``) until its reset timeout expires."""
+        filtered, so all paths over the dead link die in one step."""
         tel = self._telemetry
         if not tel.enabled:
             return self._send_with_failover(
-                dst, payload, policy, max_attempts, now,
-                retry_budget, breaker,
+                dst, payload, policy, max_attempts, now
             )
         span = tel.tracer.begin(
             "host.send_with_failover", now=now,
@@ -293,8 +280,7 @@ class ScionSocket:
         )
         try:
             result = self._send_with_failover(
-                dst, payload, policy, max_attempts, now,
-                retry_budget, breaker,
+                dst, payload, policy, max_attempts, now
             )
         except BaseException:
             tel.tracer.end(span, status="error")
@@ -310,41 +296,21 @@ class ScionSocket:
         policy: Optional[PathPolicy],
         max_attempts: int,
         now: float,
-        retry_budget: Optional[RetryBudget] = None,
-        breaker: Optional[CircuitBreaker] = None,
     ) -> SendResult:
         if dst.ia == self.host.ia:
             return self._deliver_local(dst, payload, now)
-        if retry_budget is not None:
-            retry_budget.on_request()
-        if breaker is not None and not breaker.allow(now):
-            return SendResult(False, failure="circuit-open")
         queue = (policy or self.context.default_policy).order(
             self.context.paths(dst.ia, now)
         )
         last = SendResult(False, failure="no-paths")
         attempt = 0
         while queue and attempt < max_attempts:
-            if (
-                attempt > 0
-                and retry_budget is not None
-                and not retry_budget.try_retry()
-            ):
-                # Out of retry tokens: stop amplifying, report the last
-                # real failure under the budget-exhausted banner.
-                if breaker is not None:
-                    breaker.record_failure(now)
-                return dataclasses.replace(
-                    last, failure="retry-budget-exhausted"
-                )
             meta = queue.pop(0)
             attempt += 1
             result = self._send_via(
                 dst, payload, meta, now, paths_tried=attempt, report_scmp=True
             )
             if result.success:
-                if breaker is not None:
-                    breaker.record_success(now)
                 return result
             last = result
             skip = set()
@@ -359,8 +325,6 @@ class ScionSocket:
                 queue = [
                     m for m in queue if not skip.intersection(m.interfaces)
                 ]
-        if breaker is not None:
-            breaker.record_failure(now)
         return last
 
     def _send_via(

@@ -24,7 +24,6 @@ def run(fast: bool = True) -> ExperimentResult:
         src=IA.parse("71-2:0:3b"),
         dst=IA.parse("71-20965"),
         size_bytes=(1 if fast else 10) * 1024**3,
-        cores=8,
     )
     dispatcher = reports["dispatcher"]
     dispatcherless = reports["dispatcherless"]

@@ -61,6 +61,12 @@ GOODPUT_FLOOR = 0.8
 ADVERSARIAL_SCHEDULES_FAST = 4
 ADVERSARIAL_SCHEDULES_FULL = 10
 SHRINK_MAX_FAULTS = 2
+#: Seed of the attacked arm.
+SEED = 0xA11
+#: First adversarial schedule's seed; schedule i uses CRUCIBLE_SEED + i.
+CRUCIBLE_SEED = 0xBAD5EED
+#: The shrink demo's schedule seed.
+SHRINK_SEED = 4
 
 
 @dataclass
@@ -166,7 +172,7 @@ def run_attack_campaign(arm: Arm) -> List[AttackOutcome]:
     #    priority-0 lookups interleaved to measure collateral damage.
     t += 0.05
     adversary.flood_guard(arm.guard, t, target="path-server", requests=400,
-                          duration_s=0.5, priority=2)
+                          duration_s=0.5)
     # Honest lookups are continuous background traffic: they span the
     # flood burst *and* its drain, like the real clients would.
     admitted = sum(
@@ -193,20 +199,20 @@ def arm_digest(arm: Arm) -> str:
 # -- crucible half -----------------------------------------------------------------
 
 
-def run_adversarial_crucible(fast: bool = True, seed: int = 0xBAD5EED):
+def run_adversarial_crucible(fast: bool = True):
     """Adversarial composite schedules against the hardened world."""
     count = ADVERSARIAL_SCHEDULES_FAST if fast else ADVERSARIAL_SCHEDULES_FULL
     results = []
     for index in range(count):
-        schedule = generate_adversarial_schedule(seed + index)
+        schedule = generate_adversarial_schedule(CRUCIBLE_SEED + index)
         results.append(run_schedule(schedule))
     return results
 
 
-def run_shrink_demo(seed: int = 4):
+def run_shrink_demo():
     """Regress revocation trust, catch it, shrink it, replay it."""
     schedule = generate_adversarial_schedule(
-        seed, n_faults=5, ensure_kind="adv-forge-revocation"
+        SHRINK_SEED, ensure_kind="adv-forge-revocation"
     )
     caught = run_schedule(schedule, bug="trust-revocations")
     shrink = None
@@ -234,8 +240,8 @@ def run_shrink_demo(seed: int = 4):
 # -- the experiment ----------------------------------------------------------------
 
 
-def run(fast: bool = True, seed: int = 0xA11) -> ExperimentResult:
-    arm = build_arm(seed=seed)
+def run(fast: bool = True) -> ExperimentResult:
+    arm = build_arm(seed=SEED)
     outcomes = run_attack_campaign(arm)
     succeeded = sum(1 for o in outcomes if o.succeeded)
     detected = sum(1 for o in outcomes if o.detected)

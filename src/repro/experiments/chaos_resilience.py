@@ -47,6 +47,8 @@ from repro.scion.network import ScionNetwork
 A = IA.parse("71-100")
 B = IA.parse("71-200")
 
+#: Seed of the network, the fault injector and the bootstrap trials.
+SEED = 11
 #: Per-request refusal probabilities swept on the primary server.
 OUTAGE_SWEEP: Tuple[float, ...] = (0.0, 0.2, 0.5)
 #: Probe loss used in the recovery scenario (the "10% packet loss" bound).
@@ -192,13 +194,13 @@ def _recovery_trials(network: ScionNetwork, injector: FaultInjector,
     return recover_times
 
 
-def run(fast: bool = True, seed: int = 11) -> ExperimentResult:
+def run(fast: bool = True) -> ExperimentResult:
     trials = 40 if fast else 200
-    network = ScionNetwork(diamond_topology(), seed=seed)
-    injector = FaultInjector(seed=seed)
+    network = ScionNetwork(diamond_topology(), seed=SEED)
+    injector = FaultInjector(seed=SEED)
 
-    sweep = _bootstrap_sweep(network, injector, trials, seed)
-    hard = _bootstrap_hard_outage(network, injector, trials, seed)
+    sweep = _bootstrap_sweep(network, injector, trials, SEED)
+    hard = _bootstrap_hard_outage(network, injector, trials, SEED)
     recovery = _recovery_trials(network, injector, trials)
     p50 = percentile(recovery, 0.50)
     p99 = percentile(recovery, 0.99)
@@ -215,7 +217,7 @@ def run(fast: bool = True, seed: int = 11) -> ExperimentResult:
     )
     digest_line = (
         f"  fault stream: {len(injector.events)} events, "
-        f"digest {injector.event_digest()} (seed {seed})"
+        f"digest {injector.event_digest()} (seed {SEED})"
     )
 
     return ExperimentResult(

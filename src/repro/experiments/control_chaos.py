@@ -39,6 +39,8 @@ A = IA.parse("71-100")
 B = IA.parse("71-200")
 C = IA.parse("71-300")
 
+#: Seed of the fault stream, the crash trials and the renewal storm.
+SEED = 23
 #: Health-check cadence of the supervisor (simulated seconds).
 CHECK_INTERVAL_S = 0.25
 #: One synchronous beaconing round during a cold re-convergence.
@@ -183,11 +185,11 @@ def _renewal_storm(seed: int, injector: FaultInjector) -> Dict[str, float]:
     }
 
 
-def run(fast: bool = True, seed: int = 23) -> ExperimentResult:
-    injector = FaultInjector(seed=seed)
-    cold = _crash_trial(seed, warm=False, injector=injector)
-    warm = _crash_trial(seed, warm=True, injector=injector)
-    storm = _renewal_storm(seed, injector)
+def run(fast: bool = True) -> ExperimentResult:
+    injector = FaultInjector(seed=SEED)
+    cold = _crash_trial(SEED, warm=False, injector=injector)
+    warm = _crash_trial(SEED, warm=True, injector=injector)
+    storm = _renewal_storm(SEED, injector)
 
     speedup = (
         cold["reconverge_s"] / warm["reconverge_s"]
@@ -206,7 +208,7 @@ def run(fast: bool = True, seed: int = 23) -> ExperimentResult:
     )
     digest_line = (
         f"  fault stream: {len(injector.events)} events, "
-        f"digest {injector.event_digest()} (seed {seed})"
+        f"digest {injector.event_digest()} (seed {SEED})"
     )
 
     return ExperimentResult(

@@ -46,16 +46,20 @@ FAST_RUNS_PER_TOPOLOGY = 10
 FULL_RUNS_PER_TOPOLOGY = 25
 CAMPAIGN_TOPOLOGIES = ("fig1", "rand64")
 SHRINK_MAX_FAULTS = 5
+#: First campaign schedule's seed; schedule i uses SEED + i.
+SEED = 0xD57
+#: The shrink demo's schedule seed.
+SHRINK_SEED = 11
 
 
-def run_campaign(fast: bool = True, seed: int = 0xD57):
+def run_campaign(fast: bool = True):
     """The fuzz campaign: N random schedules per topology, all checked."""
     per_topology = FAST_RUNS_PER_TOPOLOGY if fast else FULL_RUNS_PER_TOPOLOGY
     results = []
     for topology in CAMPAIGN_TOPOLOGIES:
         for index in range(per_topology):
             schedule = generate_schedule(
-                seed=seed + index, topology=topology, n_faults=4
+                seed=SEED + index, topology=topology, n_faults=4
             )
             results.append(run_schedule(schedule))
     return results
@@ -71,10 +75,11 @@ def campaign_digest(results) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def run_shrink_demo(seed: int = 11):
+def run_shrink_demo():
     """Inject the shed-critical bug, catch it, shrink it, replay it."""
     schedule = generate_schedule(
-        seed=seed, topology="mesh5", n_faults=6, ensure_kind="load-surge"
+        seed=SHRINK_SEED, topology="mesh5", n_faults=6,
+        ensure_kind="load-surge",
     )
     caught = run_schedule(schedule, bug="shed-critical")
     shrink = None
@@ -99,8 +104,8 @@ def run_shrink_demo(seed: int = 11):
     }
 
 
-def run(fast: bool = True, seed: int = 0xD57) -> ExperimentResult:
-    results = run_campaign(fast=fast, seed=seed)
+def run(fast: bool = True) -> ExperimentResult:
+    results = run_campaign(fast=fast)
     digest = campaign_digest(results)
     # Aggregate scoreboard across every run; all-green means all zeros.
     scoreboard = {}

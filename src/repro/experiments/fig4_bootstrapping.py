@@ -38,12 +38,10 @@ def measure(fast: bool = True) -> Dict[str, Dict[str, List[float]]]:
         for mechanism in MECHANISMS:
             for run_index in range(runs):
                 seed = f"{os_name}:{mechanism.value}:{run_index}"
-                bootstrapper = world.bootstrapper_for(
+                result = world.bootstrapper_for(
                     BOOTSTRAP_AS, os_name=os_name,
-                    rng=random.Random(seed),
-                )
-                bootstrapper.preference = (mechanism,)
-                result = bootstrapper.bootstrap()
+                    rng=random.Random(seed), preference=(mechanism,),
+                ).bootstrap()
                 samples["hint"].append(result.hint_latency_s)
                 samples["config"].append(result.config_latency_s)
                 samples["total"].append(result.total_latency_s)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.experiments.registry import Comparison, ExperimentResult
 from repro.netsim.crucible import (
@@ -53,20 +53,22 @@ def default_out_dir() -> Path:
     return Path(tempfile.gettempdir()) / "obs_slice"
 
 
-def run_slice(seed: int = SLICE_SEED, out_dir: Optional[Path] = None) -> Dict:
-    """Run the instrumented + plain arms and write the artifacts."""
+def run_slice() -> Dict:
+    """Run the instrumented + plain arms and write the artifacts to
+    :func:`default_out_dir`."""
     schedule = generate_schedule(
-        seed=seed, topology="mesh5", n_faults=6, ensure_kind="load-surge"
+        seed=SLICE_SEED, topology="mesh5", n_faults=6,
+        ensure_kind="load-surge",
     )
     flight = FlightRecorder(capacity=128)
-    profiler = Profiler(sample_every=16, seed=seed)
+    profiler = Profiler(sample_every=16, seed=SLICE_SEED)
     instrumented = run_schedule(
         schedule, bug="shed-critical", flight=flight, profiler=profiler,
         slos=default_crucible_slos(),
     )
     plain = run_schedule(schedule, bug="shed-critical")
 
-    directory = Path(out_dir) if out_dir is not None else default_out_dir()
+    directory = default_out_dir()
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}
     if instrumented.flight_artifact is not None:
@@ -109,8 +111,8 @@ def run_slice(seed: int = SLICE_SEED, out_dir: Optional[Path] = None) -> Dict:
     }
 
 
-def run(fast: bool = True, seed: int = SLICE_SEED) -> ExperimentResult:
-    data = run_slice(seed=seed)
+def run(fast: bool = True) -> ExperimentResult:
+    data = run_slice()
     instrumented = data["instrumented"]
     plain = data["plain"]
     profiler = data["profiler"]

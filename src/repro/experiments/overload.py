@@ -56,6 +56,8 @@ from repro.scion.network import ScionNetwork
 A = IA.parse("71-100")
 B = IA.parse("71-200")
 
+#: Seed of the network, the fault stream and the load surges.
+SEED = 17
 #: Modeled path-server service time: 2 ms per lookup -> 500 rps capacity.
 SERVICE_TIME_S = 0.002
 CAPACITY_RPS = 1.0 / SERVICE_TIME_S
@@ -105,15 +107,16 @@ def _run_storm(
     network: ScionNetwork,
     surge: LoadSurge,
     duration_s: float,
-    telemetry=None,
 ) -> StackOutcome:
     """Drive the real path server through ``surge`` for ``duration_s``.
 
     Event-driven on simulated time: a heap of (time, seq, attempt,
     priority) client requests, seeded retry jitter, and the analytic
     queue inside the guard supplying every latency.  A constant-rate
-    sweep point is a surge with no window (multiplier 1).
+    sweep point is a surge with no window (multiplier 1).  The guard,
+    budget and breaker report to the network's telemetry.
     """
+    telemetry = network.telemetry
     name = "protected"
     server = network.services[A].path_server
     guard = OverloadGuard(
@@ -253,7 +256,7 @@ def _storm(
     )
 
 
-def run_storms(fast: bool = True, seed: int = 17) -> Dict[str, object]:
+def run_storms(fast: bool = True) -> Dict[str, object]:
     """The storm run plus the offered-load sweep; the experiment's data."""
     if fast:
         duration_s, surge_start_s, surge_end_s = 18.0, 4.0, 7.0
@@ -262,13 +265,13 @@ def run_storms(fast: bool = True, seed: int = 17) -> Dict[str, object]:
         duration_s, surge_start_s, surge_end_s = 36.0, 6.0, 14.0
         sweep_duration_s = 6.0
 
-    network = ScionNetwork(diamond_topology(), seed=seed)
-    injector = FaultInjector(seed=seed)
+    network = ScionNetwork(diamond_topology(), seed=SEED)
+    injector = FaultInjector(seed=SEED)
     # Warm the lookup cache: the storm measures queueing, not combination.
     network.services[A].path_server.segments_for(B, now=0.0)
 
     protected = _run_storm(
-        network, _storm(surge_start_s, surge_end_s, seed, injector),
+        network, _storm(surge_start_s, surge_end_s, SEED, injector),
         duration_s,
     )
     # Goodput vs constant offered load: no surge window, no critical
@@ -277,7 +280,7 @@ def run_storms(fast: bool = True, seed: int = 17) -> Dict[str, object]:
     for multiple in SWEEP_MULTIPLES:
         rate_rps = multiple * CAPACITY_RPS
         point = _run_storm(
-            network, LoadSurge(rate_rps, surge_multiplier=1.0, seed=seed),
+            network, LoadSurge(rate_rps, surge_multiplier=1.0, seed=SEED),
             sweep_duration_s,
         )
         sweep.append({
@@ -289,7 +292,7 @@ def run_storms(fast: bool = True, seed: int = 17) -> Dict[str, object]:
         })
     digest = _digest({
         "schema": 1,
-        "seed": seed,
+        "seed": SEED,
         "bins": {"protected": protected.bins},
         "stats": {"protected": protected.stats},
         "shed_by_priority": {"protected": protected.shed_by_priority},
@@ -310,8 +313,8 @@ def run_storms(fast: bool = True, seed: int = 17) -> Dict[str, object]:
     }
 
 
-def run(fast: bool = True, seed: int = 17) -> ExperimentResult:
-    data = run_storms(fast=fast, seed=seed)
+def run(fast: bool = True) -> ExperimentResult:
+    data = run_storms(fast=fast)
     protected: StackOutcome = data["protected"]
     sweep = data["sweep"]
 
@@ -350,7 +353,7 @@ def run(fast: bool = True, seed: int = 17) -> ExperimentResult:
         "  naive reference arm (unbounded queue, unbudgeted retries, same "
         "storm): tests/experiments/test_overload_experiment.py"
     )
-    digest_line = f"  digest {data['digest']} (seed {seed})"
+    digest_line = f"  digest {data['digest']} (seed {SEED})"
 
     return ExperimentResult(
         "overload", "Overload control and graceful degradation",

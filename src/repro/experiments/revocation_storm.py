@@ -47,6 +47,8 @@ from repro.scion.network import ScionNetwork
 A = IA.parse("71-100")
 B = IA.parse("71-200")
 
+#: Seed of the fault stream and both storm modes.
+SEED = 23
 #: Links cut during the storm, with cut times: the two lowest-latency
 #: A->B paths die 100 ms apart.
 CUT_SCHEDULE: Tuple[Tuple[str, float], ...] = (("a-c2", 1.0), ("c1c2-a", 1.1))
@@ -149,12 +151,12 @@ def _run_mode(
     }
 
 
-def run(fast: bool = True, seed: int = 23) -> ExperimentResult:
+def run(fast: bool = True) -> ExperimentResult:
     n_clients = 8 if fast else 24
-    injector = FaultInjector(seed=seed)
-    injector.record(0.0, "storm", "config", f"seed={seed} clients={n_clients}")
-    baseline = _run_mode(False, n_clients, seed, injector)
-    pipeline = _run_mode(True, n_clients, seed, injector)
+    injector = FaultInjector(seed=SEED)
+    injector.record(0.0, "storm", "config", f"seed={SEED} clients={n_clients}")
+    baseline = _run_mode(False, n_clients, SEED, injector)
+    pipeline = _run_mode(True, n_clients, SEED, injector)
 
     mode_line = (
         f"  stale served: baseline={baseline['stale_served']:.0f} "
@@ -169,7 +171,7 @@ def run(fast: bool = True, seed: int = 23) -> ExperimentResult:
     )
     digest_line = (
         f"  fault stream: {len(injector.events)} events, "
-        f"digest {injector.event_digest()} (seed {seed})"
+        f"digest {injector.event_digest()} (seed {SEED})"
     )
 
     return ExperimentResult(

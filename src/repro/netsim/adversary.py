@@ -49,6 +49,8 @@ class AdversaryError(ReproError):
 #: Drop verdict values that mean "the router recognised the packet as
 #: adversarial" — the attribution signal tamper attacks are scored against.
 _TAMPER_DROP_REASONS = frozenset({"drop-bad-mac", "drop-inflated-hop"})
+#: Spoofed packets per :meth:`ByzantineAdversary.flood_filter`.
+FLOOD_PACKETS = 500
 
 
 @dataclass(frozen=True)
@@ -193,11 +195,9 @@ class ByzantineAdversary:
             int(now), egress,
         )
         self.forged_beacon_signatures.add(forged.entries[0].signature)
-        segment = "core" if self.network.topology.get(victim).is_core else "down"
         rejected_before = engine.stats.beacons_rejected_invalid
         stored = engine.receive_external(
-            victim, self._victim_ingress(self.network.topology, victim),
-            forged, segment=segment,
+            victim, self._victim_ingress(self.network.topology, victim), forged,
         )
         detected = engine.stats.beacons_rejected_invalid > rejected_before
         return self._record(
@@ -223,11 +223,9 @@ class ByzantineAdversary:
             stale_ts, egress,
         )
         self.replayed_beacon_signatures.add(captured.entries[0].signature)
-        segment = "core" if self.network.topology.get(victim).is_core else "down"
         rejected_before = engine.stats.beacons_rejected_replayed
         stored = engine.receive_external(
-            victim, self._victim_ingress(self.network.topology, victim),
-            captured, segment=segment,
+            victim, self._victim_ingress(self.network.topology, victim), captured,
         )
         detected = engine.stats.beacons_rejected_replayed > rejected_before
         return self._record(
@@ -239,12 +237,7 @@ class ByzantineAdversary:
     # -- control-plane attacks: revocations ------------------------------------------
 
     def forge_revocation(
-        self,
-        ia: IA,
-        ifid: int,
-        now: float,
-        path_server=None,
-        daemon=None,
+        self, ia: IA, ifid: int, now: float, daemon=None,
     ) -> AttackOutcome:
         """Claim ``ia``'s interface ``ifid`` died — without ``ia``'s key.
 
@@ -255,11 +248,7 @@ class ByzantineAdversary:
             ia=ia, ifid=ifid, issued_at=now, reason="interface-down",
         ).signed_by(self.rogue_signing)
         self.forged_revocations.append(token)
-        server = (
-            path_server
-            if path_server is not None
-            else self.network.services[ia].path_server
-        )
+        server = self.network.services[ia].path_server
         registry = server.registry
         rejected_before = (
             registry.stats.revocations_rejected
@@ -286,12 +275,7 @@ class ByzantineAdversary:
         )
 
     def replay_revocation(
-        self,
-        ia: IA,
-        ifid: int,
-        now: float,
-        path_server=None,
-        daemon=None,
+        self, ia: IA, ifid: int, now: float, daemon=None,
     ) -> AttackOutcome:
         """Replay a *genuine* captured revocation long past its TTL.
 
@@ -305,11 +289,7 @@ class ByzantineAdversary:
             reason="interface-down",
         ).signed_by(self.network.signing_keys[ia])
         self.replayed_revocations.append(token)
-        server = (
-            path_server
-            if path_server is not None
-            else self.network.services[ia].path_server
-        )
+        server = self.network.services[ia].path_server
         registry = server.registry
         replayed_before = registry.stats.revocations_replayed
         quarantined = server.revoke(token, now=now)
@@ -395,11 +375,7 @@ class ByzantineAdversary:
     # -- edge attacks: LightningFilter and path-server flooding ------------------------
 
     def wrong_epoch_stamp(
-        self,
-        lightning_filter,
-        src_ia: str,
-        now: float,
-        payload: bytes = b"adversarial-transfer",
+        self, lightning_filter, src_ia: str, now: float,
     ) -> AttackOutcome:
         """Stamp a packet with a DRKey from the wrong epoch.
 
@@ -411,6 +387,7 @@ class ByzantineAdversary:
         stale_t = now - epoch_s
         if stale_t < 0:
             stale_t = now + epoch_s  # future epoch: equally wrong
+        payload = b"adversarial-transfer"
         tag = lightning_filter.compute_auth_tag(src_ia, payload, stale_t)
         rejected_before = lightning_filter.stats.rejected_auth
         forwarded = lightning_filter.process(src_ia, payload, tag, now)
@@ -422,14 +399,9 @@ class ByzantineAdversary:
             detail=f"tag from epoch at t={stale_t:.0f}",
         )
 
-    def flood_filter(
-        self,
-        lightning_filter,
-        now: float,
-        packets: int = 500,
-    ) -> AttackOutcome:
-        """Spoofed-source packet flood (from ``66-6:0:bad``) against the
-        Science-DMZ filter.
+    def flood_filter(self, lightning_filter, now: float) -> AttackOutcome:
+        """Spoofed-source flood of :data:`FLOOD_PACKETS` packets (from
+        ``66-6:0:bad``) against the Science-DMZ filter.
 
         The attacker holds no DRKey, so every tag is garbage; success is
         any spoofed packet reaching the DMZ.
@@ -441,7 +413,7 @@ class ByzantineAdversary:
             lightning_filter.stats.rejected_auth
             + lightning_filter.stats.rejected_rate
         )
-        for index in range(packets):
+        for index in range(FLOOD_PACKETS):
             lightning_filter.process(
                 src_ia, b"flood-%d" % index, bad_tag, now + index * 1e-5,
             )
@@ -454,7 +426,7 @@ class ByzantineAdversary:
         return self._record(
             now, "flood-filter", f"{src_ia}->{lightning_filter.local_ia}",
             succeeded=admitted > 0, detected=rejected > 0,
-            detail=f"{admitted}/{packets} spoofed packets admitted",
+            detail=f"{admitted}/{FLOOD_PACKETS} spoofed packets admitted",
         )
 
     def flood_guard(
@@ -464,9 +436,9 @@ class ByzantineAdversary:
         target: str = "path-server",
         requests: int = 300,
         duration_s: float = 0.5,
-        priority: int = 2,
     ) -> AttackOutcome:
-        """Request flood against an admission-controlled service.
+        """Request flood (at priority 2) against an admission-controlled
+        service.
 
         ``guard`` is the service's :class:`~repro.core.overload.OverloadGuard`.
         Success means the flood was absorbed without shedding — the
@@ -476,7 +448,7 @@ class ByzantineAdversary:
         admitted = 0
         for index in range(requests):
             at = now + duration_s * index / requests
-            if guard.offer(at, priority=priority).admitted:
+            if guard.offer(at, priority=2).admitted:
                 admitted += 1
         shed = sum(guard.shed_by_priority.values()) - shed_before
         return self._record(

@@ -106,6 +106,8 @@ TICK_S = 0.5
 #: Short TTLs so revocation quarantine and down-marks heal within a run.
 REVOCATION_TTL_S = 2.0
 DAEMON_CACHE_TTL_S = 1.0
+#: Length of a generated schedule's fault window.
+DURATION_S = 8.0
 #: Fault-free tail of a generated schedule, for the eventually-invariants.
 SETTLE_S = 5.0
 #: Schedule runs one shrink may spend.
@@ -188,11 +190,11 @@ def generate_schedule(
     seed: int,
     topology: str = "mesh5",
     n_faults: int = 4,
-    duration_s: float = 8.0,
     kinds: Tuple[str, ...] = FAULT_KINDS,
     ensure_kind: Optional[str] = None,
 ) -> Schedule:
-    """A random composite fault schedule, fully determined by ``seed``.
+    """A random composite fault schedule of :data:`DURATION_S`, fully
+    determined by ``seed``.
 
     Faults start in the first ~60% of the run and heal by 85% of it, so
     the settle window is fault-free and the eventually-invariants are
@@ -210,12 +212,12 @@ def generate_schedule(
     rng = random.Random(f"crucible:{seed}:{topology}")
 
     def draw(kind: str) -> FaultSpec:
-        start = rng.uniform(0.08, 0.60) * duration_s
+        start = rng.uniform(0.08, 0.60) * DURATION_S
         if kind == "service-crash":
             end = start  # self-healing: the supervisor restarts it
         else:
-            length = rng.uniform(0.8, max(1.0, 0.30 * duration_s))
-            end = min(start + length, 0.85 * duration_s)
+            length = rng.uniform(0.8, max(1.0, 0.30 * DURATION_S))
+            end = min(start + length, 0.85 * DURATION_S)
             end = max(end, start + 0.4)
         return FaultSpec(
             kind=kind,
@@ -237,20 +239,17 @@ def generate_schedule(
     return Schedule(
         topology=topology,
         seed=seed,
-        duration_s=duration_s,
+        duration_s=DURATION_S,
         settle_s=SETTLE_S,
         faults=tuple(faults),
     )
 
 
 def generate_adversarial_schedule(
-    seed: int,
-    topology: str = "mesh5",
-    n_faults: int = 5,
-    duration_s: float = 8.0,
-    ensure_kind: Optional[str] = None,
+    seed: int, ensure_kind: Optional[str] = None,
 ) -> Schedule:
-    """A composite schedule mixing benign chaos with Byzantine attacks.
+    """A five-fault ``mesh5`` schedule mixing benign chaos with Byzantine
+    attacks.
 
     Same generator, wider kind pool (:data:`ALL_FAULT_KINDS`): attacks
     land *between* crashes and partitions, which is exactly when a
@@ -259,12 +258,7 @@ def generate_adversarial_schedule(
     attack it is hunting is present.
     """
     schedule = generate_schedule(
-        seed,
-        topology=topology,
-        n_faults=n_faults,
-        duration_s=duration_s,
-        kinds=ALL_FAULT_KINDS,
-        ensure_kind=ensure_kind,
+        seed, n_faults=5, kinds=ALL_FAULT_KINDS, ensure_kind=ensure_kind,
     )
     if ensure_kind is None and not any(
         spec.kind in ADVERSARY_KINDS for spec in schedule.faults
@@ -272,11 +266,7 @@ def generate_adversarial_schedule(
         # Re-draw with a forced adversarial fault so "adversarial
         # schedule" always means what it says.
         schedule = generate_schedule(
-            seed,
-            topology=topology,
-            n_faults=n_faults,
-            duration_s=duration_s,
-            kinds=ALL_FAULT_KINDS,
+            seed, n_faults=5, kinds=ALL_FAULT_KINDS,
             ensure_kind=ADVERSARY_KINDS[seed % len(ADVERSARY_KINDS)],
         )
     return schedule
@@ -322,7 +312,7 @@ TOPOLOGIES: Dict[str, Callable[[int], GlobalTopology]] = {
 }
 
 
-def _workload_pairs(topology: GlobalTopology, limit: int = 3) -> List[Tuple[IA, IA]]:
+def _workload_pairs(topology: GlobalTopology) -> List[Tuple[IA, IA]]:
     """Deterministic measurement pairs: leaf-to-leaf spans and a
     leaf-to-core, spread across the topology."""
     cores = topology.core_ases()
@@ -344,7 +334,7 @@ def _workload_pairs(topology: GlobalTopology, limit: int = 3) -> List[Tuple[IA, 
             pairs.append((src, dst))
     if not pairs:
         raise CrucibleError("topology too small for a workload")
-    return pairs[:limit]
+    return pairs
 
 
 def measure_goodput(
@@ -748,7 +738,7 @@ def _apply_fault(world: CrucibleWorld, spec: FaultSpec, fault_id: int) -> None:
                         f"x{surge.surge_multiplier:.2f} offered load")
         for arrival in surge.arrivals(window_s):
             at = now + arrival.time_s
-            sim.schedule_at(at, guard.offer, at, None, None, arrival.priority)
+            sim.schedule_at(at, guard.offer, at, None, arrival.priority)
         injector.record(heal_at, surge.name, "load-surge-end",
                         "back to baseline")
     else:  # pragma: no cover - FaultSpec validates kinds
@@ -809,7 +799,6 @@ def default_crucible_slos() -> Tuple[Slo, ...]:
 def run_schedule(
     schedule: Schedule,
     bug: Optional[str] = None,
-    checker: Optional[InvariantChecker] = None,
     flight: Optional[FlightRecorder] = None,
     profiler: Optional[Profiler] = None,
     slos: Optional[Tuple[Slo, ...]] = None,
@@ -827,7 +816,7 @@ def run_schedule(
     recorder is attached and the run ends in violation, the black box is
     dumped into ``RunResult.flight_artifact``.
     """
-    checker = checker if checker is not None else InvariantChecker()
+    checker = InvariantChecker()
     world = CrucibleWorld(
         schedule, bug=bug, flight=flight, profiler=profiler, slos=slos
     )

@@ -39,8 +39,7 @@ class IpRoute:
 class IpInternet:
     """Single-path routing over an undirected AS-level graph.
 
-    Edges carry ``latency_s`` (one-way) and optionally ``link_name`` tying
-    them to a :class:`repro.netsim.link.Link` for shared failure state.
+    Edges carry ``latency_s`` (one-way) and an ``up`` flag.
     """
 
     def __init__(self) -> None:
@@ -64,17 +63,10 @@ class IpInternet:
     def add_node(self, name: str) -> None:
         self._graph.add_node(name)
 
-    def add_link(
-        self,
-        a: str,
-        b: str,
-        latency_s: float,
-        link_name: Optional[str] = None,
-    ) -> None:
+    def add_link(self, a: str, b: str, latency_s: float) -> None:
         if latency_s < 0:
             raise ValueError("latency must be non-negative")
-        self._graph.add_edge(a, b, latency_s=latency_s, up=True,
-                             link_name=link_name or f"ip:{a}--{b}")
+        self._graph.add_edge(a, b, latency_s=latency_s, up=True)
         self._route_cache.clear()
 
     # -- failure state ---------------------------------------------------------
@@ -83,16 +75,6 @@ class IpInternet:
         if not self._graph.has_edge(a, b):
             raise KeyError(f"no IP link between {a!r} and {b!r}")
         self._graph.edges[a, b]["up"] = up
-        self._route_cache.clear()
-
-    def set_link_state_by_name(self, link_name: str, up: bool) -> None:
-        found = False
-        for a, b, data in self._graph.edges(data=True):
-            if data.get("link_name") == link_name:
-                data["up"] = up
-                found = True
-        if not found:
-            raise KeyError(f"no IP link named {link_name!r}")
         self._route_cache.clear()
 
     def _up_subgraph(self) -> nx.Graph:
@@ -166,13 +148,3 @@ class IpInternet:
         """Round-trip time along the current BGP route, or None."""
         route = self.route(src, dst)
         return None if route is None else route.rtt_s
-
-    def connectivity_matrix(self) -> Dict[Tuple[str, str], bool]:
-        """Whether each ordered pair currently has a route."""
-        result: Dict[Tuple[str, str], bool] = {}
-        for src in self._graph.nodes:
-            for dst in self._graph.nodes:
-                if src == dst:
-                    continue
-                result[(src, dst)] = self.route(src, dst) is not None
-        return result

@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.bridge import (
-    CounterBackedStats,
-    register_stats_collector,
-    reset_stats,
-)
+from repro.obs.bridge import CounterBackedStats, register_stats_collector
 from repro.obs.events import Event, EventLog, NullEventLog
 from repro.obs.flight import FlightRecorder, flight_digest, save_flight
 from repro.obs.health import HealthReport, build_health_report
@@ -119,7 +115,6 @@ __all__ = [
     "build_health_report",
     "flight_digest",
     "register_stats_collector",
-    "reset_stats",
     "resolve",
     "save_flight",
     "validate_trace",

@@ -12,11 +12,8 @@ Two migration patterns, chosen per class by hot-path cost:
   ``SupervisorStats`` uses it: its ``+=`` increment sites stay plain and
   the registry still exports the fields with labels.
 
-Both directions share the **reset convention**: every stats object exposes
-``reset()`` that zeroes its counters, so an experiment reusing a component
-across epochs can draw a clean baseline explicitly instead of diffing
-cumulative values (see ISSUE 5's audit — ``RouterStats``/``RegistryStats``
-previously accumulated across ``run_beaconing`` epochs with no way back).
+Stats are cumulative, like Prometheus counters; a clean baseline is a
+freshly built component.
 """
 
 from __future__ import annotations
@@ -65,37 +62,14 @@ class CounterBackedStats:
             f"{type(self).__name__!s} has no attribute {name!r}"
         )
 
-    def reset(self) -> None:
-        """Zero every counter (fresh experiment epoch)."""
-        for counter in self._counters.values():
-            counter.reset()
-
     def as_dict(self) -> Dict[str, float]:
         return {name: getattr(self, name) for name in self.FIELDS}
-
-
-def reset_stats(stats: object) -> None:
-    """Reset any stats object: counter-backed or plain dataclass.
-
-    The dataclass branch restores every field to its declared default —
-    the explicit "fresh epoch" convention for stats that are still plain
-    ``+=`` dataclasses.
-    """
-    if isinstance(stats, CounterBackedStats):
-        stats.reset()
-        return
-    for f in dataclasses.fields(stats):
-        if f.default is not dataclasses.MISSING:
-            setattr(stats, f.name, f.default)
-        elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-            setattr(stats, f.name, f.default_factory())  # type: ignore[misc]
 
 
 def register_stats_collector(
     metrics: MetricsRegistry,
     stats: object,
     prefix: str,
-    labels: Optional[Dict[str, str]] = None,
 ) -> None:
     """Export a plain dataclass's numeric fields as gauges, pulled lazily.
 
@@ -109,7 +83,7 @@ def register_stats_collector(
 
     def collect(registry: MetricsRegistry) -> None:
         for name in field_names:
-            registry.gauge(f"{prefix}_{name}", labels=labels).set(
+            registry.gauge(f"{prefix}_{name}").set(
                 getattr(stats, name)
             )
 

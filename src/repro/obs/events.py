@@ -136,17 +136,12 @@ class EventLog:
 
     # -- queries -----------------------------------------------------------------
 
-    def timeline(self, source: Optional[str] = None,
-                 kind: Optional[str] = None,
-                 since: Optional[float] = None) -> List[Event]:
-        """Events ordered by (time, insertion sequence), optionally filtered."""
+    def timeline(self, source: Optional[str] = None) -> List[Event]:
+        """Events ordered by (time, insertion sequence), optionally of one
+        source only."""
         out = self.events
         if source is not None:
             out = [e for e in out if e.source == source]
-        if kind is not None:
-            out = [e for e in out if e.kind == kind]
-        if since is not None:
-            out = [e for e in out if e.time_s >= since]
         return sorted(out, key=lambda e: (e.time_s, e.seq))
 
     def down_pairs(self) -> List[str]:

@@ -157,13 +157,6 @@ class FlightRecorder:
         artifact["digest"] = flight_digest(artifact)
         return artifact
 
-    def clear(self) -> None:
-        self._events.clear()
-        self._deltas.clear()
-        self._triggers = []
-        self._last_values = {}
-        self.ticks = 0
-
 
 def flight_digest(artifact: Dict[str, object]) -> str:
     """sha256[:16] over the canonical JSON body (minus any digest field)."""

@@ -66,9 +66,6 @@ class Counter:
             raise ValueError("counters only go up; use a Gauge instead")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0.0
-
 
 class Gauge:
     """A sample that can go up and down (queue depths, freshness)."""
@@ -82,9 +79,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Histogram:
@@ -125,14 +119,6 @@ class Histogram:
             return
         index = math.floor(math.log(value) / self._LOG_GROWTH)
         self._buckets[index] = self._buckets.get(index, 0) + 1
-
-    def reset(self) -> None:
-        self.count = 0
-        self.sum = 0.0
-        self._buckets = {}
-        self._zero = 0
-        self._min = math.inf
-        self._max = -math.inf
 
     @property
     def min(self) -> float:
@@ -279,11 +265,6 @@ class MetricsRegistry:
     def collect(self) -> None:
         for collector in self._collectors:
             collector(self)
-
-    def reset(self) -> None:
-        for family in self._families.values():
-            for child in family.children.values():
-                child.reset()  # type: ignore[attr-defined]
 
     # -- export ------------------------------------------------------------------
 

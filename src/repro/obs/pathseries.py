@@ -170,8 +170,3 @@ class PathSeriesRecorder:
             "samples": [sample.to_dict() for sample in self.samples],
         }
         return json.dumps(doc, sort_keys=True)
-
-    def clear(self) -> None:
-        self.samples = []
-        self.dropped = 0
-        self._last_seen = {}

@@ -21,13 +21,6 @@ kernel hot loop is one ``getattr`` plus two dict hits.  Frames render
 directly as folded stacks (``a;b;c 123``), the input format of Brendan
 Gregg's ``flamegraph.pl`` and of speedscope, so a profile turns into a
 flamegraph with no further tooling.
-
-Epochs: :meth:`Profiler.mark_epoch` closes the current attribution
-segment and opens a fresh one.  ``ScionNetwork.reset_stats`` calls it (an
-explicit epoch boundary, same convention as the cumulative ``*Stats``
-counters), so per-``run_beaconing``-epoch hot-path tables are not
-polluted by earlier epochs.  Tables and folded stacks can be rendered for
-one epoch or aggregated over all of them.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ DEFAULT_SAMPLE_EVERY = 32
 
 
 class _Entry:
-    """Accumulated attribution for one frame tuple within one epoch."""
+    """Accumulated attribution for one frame tuple."""
 
     __slots__ = ("calls", "sim_s", "wall_s", "sampled")
 
@@ -57,16 +50,6 @@ class _Entry:
         if not self.sampled:
             return 0.0
         return self.wall_s * (self.calls / self.sampled)
-
-
-class _Epoch:
-    """One attribution segment between epoch marks."""
-
-    __slots__ = ("label", "entries")
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.entries: Dict[Frames, _Entry] = {}
 
 
 class Profiler:
@@ -90,12 +73,9 @@ class Profiler:
         # ones — the sampling pattern itself is deterministic.
         self._countdown = (seed % self.sample_every) + 1
         self._clock = clock
-        #: code object (or callable) -> frames, survives epoch marks.
-        self._frame_memo: Dict[object, Frames] = {}
-        #: code object (or callable) -> current epoch's entry (hot cache).
+        self._entries: Dict[Frames, _Entry] = {}
+        #: code object (or callable) -> its entry (hot cache).
         self._entry_memo: Dict[object, _Entry] = {}
-        self._epochs: List[_Epoch] = [_Epoch("epoch-0")]
-        self._current = self._epochs[0]
         #: sim-time high-water mark for kernel gap attribution.
         self._last_sim: Optional[float] = None
 
@@ -141,7 +121,7 @@ class Profiler:
     def finish(self, token: Optional[float], frames: Frames,
                sim_s: float = 0.0) -> None:
         """End an explicitly profiled section under ``frames``."""
-        entries = self._current.entries
+        entries = self._entries
         entry = entries.get(frames)
         if entry is None:
             entry = entries[frames] = _Entry()
@@ -152,78 +132,38 @@ class Profiler:
             entry.sampled += 1
 
     def _entry_for_key(self, key: object, func) -> _Entry:
-        frames = self._frame_memo.get(key)
-        if frames is None:
-            module = getattr(func, "__module__", None) or "?"
-            if module.startswith("repro."):
-                module = module[len("repro."):]
-            name = getattr(func, "__qualname__", None) \
-                or getattr(func, "__name__", repr(func))
-            frames = ("sim", module, name)
-            self._frame_memo[key] = frames
-        entries = self._current.entries
+        module = getattr(func, "__module__", None) or "?"
+        if module.startswith("repro."):
+            module = module[len("repro."):]
+        name = getattr(func, "__qualname__", None) \
+            or getattr(func, "__name__", repr(func))
+        frames = ("sim", module, name)
+        entries = self._entries
         entry = entries.get(frames)
         if entry is None:
             entry = entries[frames] = _Entry()
         self._entry_memo[key] = entry
         return entry
 
-    # -- epochs ------------------------------------------------------------------
-
-    def mark_epoch(self, label: str = "") -> None:
-        """Close the current attribution segment and open a fresh one."""
-        index = len(self._epochs)
-        self._current = _Epoch(label or f"epoch-{index}")
-        self._epochs.append(self._current)
-        self._entry_memo.clear()
-        self._last_sim = None
-
-    @property
-    def epoch_labels(self) -> List[str]:
-        return [epoch.label for epoch in self._epochs]
-
-    def _selected(self, epoch: Optional[int]) -> Dict[Frames, _Entry]:
-        """Entries of one epoch, or all epochs merged (``epoch=None``)."""
-        if epoch is not None:
-            return self._epochs[epoch].entries
-        merged: Dict[Frames, _Entry] = {}
-        for seg in self._epochs:
-            for frames, entry in seg.entries.items():
-                into = merged.get(frames)
-                if into is None:
-                    into = merged[frames] = _Entry()
-                into.calls += entry.calls
-                into.sim_s += entry.sim_s
-                into.wall_s += entry.wall_s
-                into.sampled += entry.sampled
-        return merged
-
     # -- reports -----------------------------------------------------------------
 
-    def rows(
-        self, epoch: Optional[int] = None
-    ) -> List[Tuple[Frames, int, float, float]]:
+    def rows(self) -> List[Tuple[Frames, int, float, float]]:
         """``(frames, calls, sim_s, wall_estimate_s)`` rows, most calls
         first; ties break on the frame tuple so the order is always total.
         """
         ordered = sorted(
-            self._selected(epoch).items(), key=lambda kv: (-kv[1].calls, kv[0])
+            self._entries.items(), key=lambda kv: (-kv[1].calls, kv[0])
         )
         return [
             (frames, e.calls, e.sim_s, e.wall_estimate_s())
             for frames, e in ordered
         ]
 
-    def hot_paths(self, n: int = 10, epoch: Optional[int] = None) -> List[str]:
+    def hot_paths(self, n: int = 10) -> List[str]:
         """The top-``n`` frame keys, rendered ``a;b;c``, hottest first."""
-        return [";".join(f) for f, _, _, _ in self.rows(epoch)[:n]]
+        return [";".join(f) for f, _, _, _ in self.rows()[:n]]
 
-    def render_table(
-        self,
-        top_n: int = 10,
-        epoch: Optional[int] = None,
-        include_wall: bool = True,
-    ) -> str:
+    def render_table(self, top_n: int = 10, include_wall: bool = True) -> str:
         """The top-N hot-path table as text.
 
         With ``include_wall=False`` the table contains only deterministic
@@ -231,14 +171,13 @@ class Profiler:
         same-seed runs; wall-clock estimates are host-dependent and only
         belong in interactive output.
         """
-        scope = "all epochs" if epoch is None \
-            else self._epochs[epoch].label
-        rows = self.rows(epoch)[:top_n]
+        rows = self.rows()[:top_n]
         width = max([len(";".join(f)) for f, _, _, _ in rows] + [10])
         header = f"{'hot path':<{width}}  {'calls':>10}  {'sim_s':>12}"
         if include_wall:
             header += f"  {'~wall_s':>10}"
-        lines = [f"== profile ({scope}; top {len(rows)} by calls) ==",
+        # "all epochs" stays in the title: obs_slice's profile.txt is pinned.
+        lines = [f"== profile (all epochs; top {len(rows)} by calls) ==",
                  header]
         for frames, calls, sim_s, wall_s in rows:
             line = f"{';'.join(frames):<{width}}  {calls:>10}  {sim_s:>12.6f}"
@@ -247,9 +186,7 @@ class Profiler:
             lines.append(line)
         return "\n".join(lines) + "\n"
 
-    def folded(
-        self, epoch: Optional[int] = None, weight: str = "calls"
-    ) -> List[str]:
+    def folded(self, weight: str = "calls") -> List[str]:
         """Folded-stack lines (``frame;frame;frame count``), sorted.
 
         ``weight`` selects the sample count: ``"calls"`` (exact,
@@ -258,7 +195,7 @@ class Profiler:
         or paste into speedscope to render a flamegraph.
         """
         lines = []
-        for frames, entry in sorted(self._selected(epoch).items()):
+        for frames, entry in sorted(self._entries.items()):
             if weight == "sim_us":
                 count = int(round(entry.sim_s * 1e6))
             else:

@@ -122,17 +122,18 @@ class Tracer:
             self.end(handle)
 
     def open(self, name: str, now: Optional[float] = None,
-             parent: Optional[Span] = None, **attrs: object) -> Span:
-        """Open a span with explicit parenting, without touching the stack.
+             **attrs: object) -> Span:
+        """Open a span under the innermost open span (or a new trace),
+        without touching the stack.
 
         For event-driven flows (packets in flight, beacon rounds) where
-        many operations interleave: stack nesting would attribute children
-        to whichever operation happened to be innermost.  Close with
-        :meth:`end` (safe — it only pops the stack for stack-opened spans).
+        many operations interleave: the span is kept as the explicit
+        parent of their instant spans (:meth:`add`) instead of nesting on
+        the stack.  Close with :meth:`end` (safe — it only pops the stack
+        for stack-opened spans).
         """
         start = self.advance(now)
-        if parent is None and self._stack:
-            parent = self._stack[-1]
+        parent = self._stack[-1] if self._stack else None
         return self._new_span(
             name, parent, start, {k: str(v) for k, v in attrs.items()}
         )
@@ -167,14 +168,8 @@ class Tracer:
 
     # -- queries -----------------------------------------------------------------
 
-    def spans(self, trace_id: Optional[str] = None,
-              name: Optional[str] = None) -> List[Span]:
-        out = self._spans
-        if trace_id is not None:
-            out = [s for s in out if s.trace_id == trace_id]
-        if name is not None:
-            out = [s for s in out if s.name == name]
-        return list(out)
+    def spans(self) -> List[Span]:
+        return list(self._spans)
 
     def traces(self) -> List[str]:
         seen: Dict[str, None] = {}
@@ -239,7 +234,7 @@ class NullTracer(Tracer):
         self._dummy = Span("trace-0000", "span-000000", None, "noop", 0.0, 0.0)
 
     def open(self, name: str, now: Optional[float] = None,
-             parent: Optional[Span] = None, **attrs: object) -> Span:
+             **attrs: object) -> Span:
         return self._dummy
 
     def end(self, span: Span, now: Optional[float] = None,

@@ -127,8 +127,8 @@ class ScionBatTransport:
 
     def __init__(self, context, preference="", interactive=False,
                  chooser=None):
-        self.policy = policy_from_commandline("", preference,
-                                              interactive, chooser)
+        self.policy = policy_from_commandline(preference, interactive,
+                                              chooser)
         self.socket = context.open_socket()
 
     def round_trip(self, dst, payload):
@@ -152,9 +152,9 @@ class Bat:
             context, preference, interactive, chooser
         )
 
-    def get(self, url: str, headers: Optional[Dict[str, str]] = None) -> HttpResponse:
+    def get(self, url: str) -> HttpResponse:
         dst = self._parse_url(url)
-        request = encode_request("GET", self._path_of(url), headers or {})
+        request = encode_request("GET", self._path_of(url), {})
         result = self._transport.round_trip(dst, request)
         via = "->".join(str(ia) for ia in result.path.as_sequence) if result.path else None
         return decode_response(result.reply, rtt_s=result.rtt_s, via_path=via)

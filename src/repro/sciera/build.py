@@ -9,10 +9,10 @@ participant — ready for measurement campaigns and applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
-from repro.endhost.bootstrap.bootstrapper import Bootstrapper
-from repro.endhost.bootstrap.hinting import NetworkEnvironment
+from repro.endhost.bootstrap.bootstrapper import DEFAULT_PREFERENCE, Bootstrapper
+from repro.endhost.bootstrap.hinting import HintMechanism, NetworkEnvironment
 from repro.endhost.bootstrap.server import BootstrapServer
 from repro.endhost.daemon import Daemon
 from repro.endhost.pan import HostRegistry, PanContext, ScionHost
@@ -48,6 +48,7 @@ class ScieraWorld:
 
     def bootstrapper_for(
         self, ia_text: str, os_name: str = "Linux", rng=None,
+        preference: Sequence[HintMechanism] = DEFAULT_PREFERENCE,
     ) -> Bootstrapper:
         """A fresh bootstrapper for a device joining this AS's network."""
         server = self.bootstrap_servers[ia_text]
@@ -55,6 +56,7 @@ class ScieraWorld:
             self.environments[ia_text],
             {(server.ip, server.port): server},
             os_name=os_name,
+            preference=preference,
             rng=rng,
         )
 
@@ -97,7 +99,7 @@ def build_sciera(
                 has_ipv6_ras=True,
                 has_mdns_responder=True,
             )
-            env.advertise_everywhere(server.ip, server.port)
+            env.advertise_everywhere(server.ip)
             host = ScionHost(
                 network, ia, f"10.{ia.isd % 255}.{ia.asn % 255}.100",
                 registry, daemon=Daemon(network, ia),

@@ -25,6 +25,8 @@ from repro.scion.path import PathMeta
 
 #: Hercules frames: jumbo-ish SCION packets.
 PACKET_BYTES = 1400
+#: Paths one transfer stripes over.
+MAX_PATHS = 4
 
 
 class HerculesError(ReproError):
@@ -70,7 +72,7 @@ class HerculesTransfer:
         self.datapath = datapath or EndHostDataPathModel("xdp-bypass", cores=8)
         self.per_path_bandwidth_bps = per_path_bandwidth_bps
 
-    def select_paths(self, max_paths: int = 4) -> List[PathMeta]:
+    def select_paths(self) -> List[PathMeta]:
         """Most-disjoint-first selection: disjoint paths do not share a
         bottleneck, so their bandwidth aggregates."""
         active = self.network.active_paths(self.src, self.dst)
@@ -78,7 +80,7 @@ class HerculesTransfer:
             raise HerculesError(f"no active paths {self.src} -> {self.dst}")
         chosen: List[PathMeta] = [active[0]]
         remaining = active[1:]
-        while remaining and len(chosen) < max_paths:
+        while remaining and len(chosen) < MAX_PATHS:
             best = max(
                 remaining,
                 key=lambda m: (
@@ -90,10 +92,10 @@ class HerculesTransfer:
             chosen.append(best)
         return chosen
 
-    def run(self, size_bytes: int, max_paths: int = 4) -> TransferReport:
+    def run(self, size_bytes: int) -> TransferReport:
         if size_bytes <= 0:
             raise HerculesError("transfer size must be positive")
-        paths = self.select_paths(max_paths)
+        paths = self.select_paths()
 
         # Network ceiling: disjoint paths aggregate; paths sharing links
         # split the shared capacity (approximated pairwise).
@@ -141,22 +143,20 @@ def datapath_ablation(
     src: IA,
     dst: IA,
     size_bytes: int = 10 * 1024**3,
-    cores: int = 8,
-    per_path_bandwidth_bps: float = 20e9,
 ) -> Dict[str, TransferReport]:
     """The Section 4.8 story in one call: dispatcher vs XDP vs per-app
-    sockets for the same multipath transfer.
+    sockets for the same multipath transfer, on 8-core hosts.
 
-    The default per-path capacity matches the SCIONabled 20 Gbps KREONET
-    ring of the Science-DMZ deployment (Section 4.7.1) — ample network
-    headroom, so the dispatcher's shared process is what hits the wall.
+    The per-path capacity matches the SCIONabled 20 Gbps KREONET ring of
+    the Science-DMZ deployment (Section 4.7.1) — ample network headroom,
+    so the dispatcher's shared process is what hits the wall.
     """
     out: Dict[str, TransferReport] = {}
     for mode in ("dispatcher", "dispatcherless", "xdp-bypass"):
         transfer = HerculesTransfer(
             network, src, dst,
-            datapath=EndHostDataPathModel(mode, cores=cores),
-            per_path_bandwidth_bps=per_path_bandwidth_bps,
+            datapath=EndHostDataPathModel(mode, cores=8),
+            per_path_bandwidth_bps=20e9,
         )
         out[mode] = transfer.run(size_bytes)
     return out

@@ -107,7 +107,6 @@ class LightningFilter:
         payload: bytes,
         tag: bytes,
         now_s: float,
-        size_bytes: Optional[int] = None,
     ) -> bool:
         """Filter one packet; returns True if it is forwarded onward."""
         if not self.verify(src_ia, payload, tag, now_s):
@@ -121,9 +120,7 @@ class LightningFilter:
             self._alert_once(src_ia, "rate", now_s)
             return False
         self.stats.accepted += 1
-        self.stats.bytes_accepted += (
-            size_bytes if size_bytes is not None else len(payload)
-        )
+        self.stats.bytes_accepted += len(payload)
         return True
 
     def _alert_once(self, src_ia: str, reason: str, now_s: float) -> None:
@@ -157,10 +154,11 @@ class LightningFilter:
 
     # -- capacity model ------------------------------------------------------------------
 
-    def line_rate_gbps(self, packet_bytes: int = 1500) -> float:
-        """Aggregate filtering throughput (RSS spreads flows over cores)."""
+    def line_rate_gbps(self) -> float:
+        """Aggregate filtering throughput at 1500 B packets (RSS spreads
+        flows over cores)."""
         pps = self.cores / self.PER_PACKET_S
-        return pps * packet_bytes * 8 / 1e9
+        return pps * 1500 * 8 / 1e9
 
-    def saturates_100g(self, packet_bytes: int = 1500) -> bool:
-        return self.line_rate_gbps(packet_bytes) >= 100.0
+    def saturates_100g(self) -> bool:
+        return self.line_rate_gbps() >= 100.0

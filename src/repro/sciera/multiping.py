@@ -125,7 +125,7 @@ class CampaignDataset:
         return [r for r in self.records if r.icmp_valid]
 
 
-def sciera_campaign_schedule(duration_s: float = 20 * DAY_S) -> FailureSchedule:
+def sciera_campaign_schedule(duration_s: float) -> FailureSchedule:
     """The operational events of the paper's measurement window (§5.4).
 
     Day 0 corresponds to January 18th:

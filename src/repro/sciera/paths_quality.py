@@ -92,9 +92,8 @@ class Fig10bResult:
 def fig10b_path_disjointness(
     world: ScieraWorld,
     sources: Sequence[str],
-    destinations: Optional[Sequence[str]] = None,
 ) -> Fig10bResult:
-    """Disjointness over all path combinations of every AS pair.
+    """Disjointness over all path combinations of every pair of ``sources``.
 
     At most eight paths per pair are combined, which caps the quadratic
     blow-up for pairs with >100 paths. The cap picks *diverse representatives* (greedy farthest-first
@@ -103,9 +102,8 @@ def fig10b_path_disjointness(
     understate the diversity end hosts actually choose from.
     """
     network = world.network
-    destinations = destinations or sources
     values: List[float] = []
-    for src, dst in _ordered_pairs(sources, destinations):
+    for src, dst in _ordered_pairs(sources, sources):
         metas = network.active_paths(IA.parse(src), IA.parse(dst))
         metas = _diverse_subset(metas, 8)
         values.extend(

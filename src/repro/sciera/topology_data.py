@@ -250,20 +250,19 @@ def link_latency_s(link: DeclaredLink) -> float:
     )
 
 
-def build_sciera_topology(include_planned: bool = False) -> GlobalTopology:
-    """Instantiate Figure 1 as a :class:`GlobalTopology`."""
+def build_sciera_topology() -> GlobalTopology:
+    """Instantiate Figure 1 as a :class:`GlobalTopology` (deployed
+    participants only)."""
     topo = GlobalTopology()
     for p in SCIERA_PARTICIPANTS:
-        if p.planned and not include_planned:
+        if p.planned:
             continue
         topo.add_as(
             IA.parse(p.ia), is_core=p.is_core, name=p.name,
             region=p.region, location=city(p.city), flavor=p.flavor,
         )
     for link in SCIERA_LINKS:
-        if not include_planned and (
-            participant(link.a).planned or participant(link.b).planned
-        ):
+        if participant(link.a).planned or participant(link.b).planned:
             continue
         topo.add_link(
             IA.parse(link.a), IA.parse(link.b), link.a_type,
@@ -360,8 +359,8 @@ def _pair_inflation(src: str, dst: str) -> float:
     return 1.0 + _IP_INFLATION_COEF * u ** _IP_INFLATION_SHAPE
 
 
-def build_ip_internet(include_planned: bool = False) -> IpInternet:
-    """The BGP Internet baseline over the same participants."""
+def build_ip_internet() -> IpInternet:
+    """The BGP Internet baseline over the same (deployed) participants."""
     net = IpInternet()
     net.set_pair_inflation(_pair_inflation)
     for hub in _IP_HUBS:
@@ -374,7 +373,7 @@ def build_ip_internet(include_planned: bool = False) -> IpInternet:
             ),
         )
     for p in SCIERA_PARTICIPANTS:
-        if p.planned and not include_planned:
+        if p.planned:
             continue
         hub = _IP_ATTACHMENT[p.ia]
         net.add_node(p.ia)
@@ -383,6 +382,5 @@ def build_ip_internet(include_planned: bool = False) -> IpInternet:
             latency_s=propagation_delay_s(
                 city(p.city), city(hub), route_factor=_IP_ROUTE_FACTOR
             ),
-            link_name=f"ip-access:{p.ia}",
         )
     return net

@@ -27,6 +27,11 @@ from repro.scion.path import HopField
 from repro.scion.topology import GlobalTopology, Interface, LinkType
 
 
+#: How many AS hops longer than the shortest beacon of an origin a selected
+#: beacon may be (:meth:`BeaconStore.select`).
+MAX_DETOUR = 2
+
+
 @dataclass
 class BeaconStoreStats:
     """Mutation counters of one beacon store (fed to dashboards)."""
@@ -43,7 +48,7 @@ class BeaconStore:
     storing AS signs it only when it registers the segment
     (:meth:`BeaconingEngine.terminate`), as a SCION control service does.
 
-    Lookups and inserts that carry a clock (``now``) purge beacons whose
+    :meth:`select_all` with a clock (``now``) first purges beacons whose
     earliest hop field has expired — a store must never serve a segment
     the data plane would reject.
     """
@@ -67,13 +72,8 @@ class BeaconStore:
         self.stats.purged_expired += purged
         return purged
 
-    def insert(self, beacon: Beacon, now: Optional[float] = None) -> bool:
+    def insert(self, beacon: Beacon) -> bool:
         """Insert a beacon; returns True if the store changed."""
-        if now is not None:
-            self.purge_expired(now)
-            if beacon.expires_at() <= now:
-                self.stats.purged_expired += 1
-                return False
         origin = beacon.origin_ia
         bucket = self._by_origin.setdefault(origin, {})
         fp = beacon.interface_fingerprint()
@@ -94,17 +94,13 @@ class BeaconStore:
     def origins(self) -> List[IA]:
         return sorted(self._by_origin)
 
-    def all_beacons(self, now: Optional[float] = None) -> List[Beacon]:
-        if now is not None:
-            self.purge_expired(now)
+    def all_beacons(self) -> List[Beacon]:
         out: List[Beacon] = []
         for origin in self.origins():
             out.extend(self._by_origin[origin].values())
         return out
 
-    def beacons_from(self, origin: IA, now: Optional[float] = None) -> List[Beacon]:
-        if now is not None:
-            self.purge_expired(now)
+    def beacons_from(self, origin: IA) -> List[Beacon]:
         return list(self._by_origin.get(origin, {}).values())
 
     # -- crash/restart support -------------------------------------------------
@@ -125,26 +121,23 @@ class BeaconStore:
         """Drop all contents (cold restart / crash)."""
         self._by_origin = {}
 
-    def select(self, origin: IA, k: int, max_detour: int = 2,
-               now: Optional[float] = None) -> List[Beacon]:
+    def select(self, origin: IA, k: int) -> List[Beacon]:
         """Diversity-aware best-k selection for one origin.
 
-        ``max_detour`` drops beacons more than that many AS hops longer
-        than the shortest known for the origin: without the bound, huge
+        Beacons more than :data:`MAX_DETOUR` AS hops longer than the
+        shortest known for the origin are dropped: without the bound, huge
         around-the-globe segments get registered as "alternates" for every
         pair and a single distant outage perturbs everyone's path counts —
         which contradicts the paper's Figure 9 (most pairs see zero median
         deviation).
         """
-        if now is not None:
-            self.purge_expired(now)
         candidates = sorted(
             self._by_origin.get(origin, {}).values(),
             key=lambda b: (len(b), b.interface_fingerprint()),
         )
-        if candidates and max_detour is not None:
+        if candidates:
             shortest = len(candidates[0])
-            candidates = [b for b in candidates if len(b) <= shortest + max_detour]
+            candidates = [b for b in candidates if len(b) <= shortest + MAX_DETOUR]
         if len(candidates) <= k:
             return candidates
         chosen: List[Beacon] = []
@@ -171,13 +164,13 @@ class BeaconStore:
             covered |= ifaces[best]
         return chosen
 
-    def select_all(self, k_per_origin: int, max_detour: int = 2,
+    def select_all(self, k_per_origin: int,
                    now: Optional[float] = None) -> List[Beacon]:
         out: List[Beacon] = []
         if now is not None:
             self.purge_expired(now)
         for origin in self.origins():
-            out.extend(self.select(origin, k_per_origin, max_detour))
+            out.extend(self.select(origin, k_per_origin))
         return out
 
 
@@ -376,20 +369,19 @@ class BeaconingEngine:
             return True
         return False
 
-    def receive_external(
-        self, receiver: IA, ingress: int, beacon: Beacon,
-        segment: str = "down",
-    ) -> bool:
+    def receive_external(self, receiver: IA, ingress: int, beacon: Beacon) -> bool:
         """Ingest a beacon handed over by a neighbor outside :meth:`run`.
 
         This is the engine's untrusted network-facing surface: anything a
         (possibly rogue) neighbor claims is a PCB arrives here and passes
         the same loop, freshness, and signature gates as in-round
-        propagation.  Returns True only if the beacon was stored.
+        propagation.  A core receiver stores it as a core beacon, any
+        other as a down beacon.  Returns True only if the beacon was stored.
         """
-        stores = self.core_stores if segment == "core" else self.down_stores
-        if receiver not in stores:
+        if receiver not in self.topology.ases:
             raise BeaconError(f"unknown receiver {receiver}")
+        core = self.topology.get(receiver).is_core
+        stores = self.core_stores if core else self.down_stores
         return self._receive(stores[receiver], receiver, ingress, beacon)
 
     def terminate(self, stored: Beacon) -> Beacon:

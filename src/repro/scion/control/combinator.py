@@ -173,8 +173,6 @@ def combine_paths(
     dst: IA,
     down_segments: Sequence[Beacon],
     dst_is_core: bool = False,
-    max_paths: Optional[int] = None,
-    include_peering: bool = True,
 ) -> List[DataplanePath]:
     """Enumerate end-to-end paths from ``half.src`` to ``dst``.
 
@@ -219,17 +217,14 @@ def combine_paths(
                     u_idx, d_idx = crossover
                     add((up_seg.to_hops(False, u_idx),
                          down_seg.to_hops(True, d_idx)))
-                if include_peering:
-                    for u_idx, u_hop, d_idx, d_hop in _peering_splices(
-                        up_seg, down_seg
-                    ):
-                        add((up_seg.to_hops(False, u_idx, u_hop),
-                             down_seg.to_hops(True, d_idx, d_hop)))
+                for u_idx, u_hop, d_idx, d_hop in _peering_splices(
+                    up_seg, down_seg
+                ):
+                    add((up_seg.to_hops(False, u_idx, u_hop),
+                         down_seg.to_hops(True, d_idx, d_hop)))
 
     # Fingerprints are unique here, so the sort never compares segments.
     ordered = sorted(ranked.values())
-    if max_paths is not None:
-        ordered = ordered[:max_paths]
     return [
         DataplanePath.keyed(segments, (hops, fingerprint))
         for hops, fingerprint, segments in ordered

@@ -120,16 +120,14 @@ class SegmentRegistry:
 
     # -- registration ---------------------------------------------------------
 
-    def register_down(
-        self, segment: Beacon, now: Optional[float] = None, priority: int = 1
-    ) -> None:
+    def register_down(self, segment: Beacon, now: Optional[float] = None) -> None:
         if now is not None and segment.expires_at() <= now:
             self.stats.inc("purged_expired")
             return
         if (
             self.guard is not None
             and now is not None
-            and not self.guard.offer(now, priority=priority).admitted
+            and not self.guard.offer(now).admitted
         ):
             return
         leaf = segment.terminal_ia
@@ -139,16 +137,14 @@ class SegmentRegistry:
         self.stats.inc("registrations")
         self._version += 1
 
-    def register_core(
-        self, segment: Beacon, now: Optional[float] = None, priority: int = 1
-    ) -> None:
+    def register_core(self, segment: Beacon, now: Optional[float] = None) -> None:
         if now is not None and segment.expires_at() <= now:
             self.stats.inc("purged_expired")
             return
         if (
             self.guard is not None
             and now is not None
-            and not self.guard.offer(now, priority=priority).admitted
+            and not self.guard.offer(now).admitted
         ):
             return
         key = (segment.origin_ia, segment.terminal_ia)
@@ -306,9 +302,7 @@ class SegmentRegistry:
 
     # -- lookup -----------------------------------------------------------------
 
-    def down_segments(self, dst: IA, now: Optional[float] = None) -> List[Beacon]:
-        if now is not None:
-            self.purge_expired(now)
+    def down_segments(self, dst: IA) -> List[Beacon]:
         self.stats.inc("lookups")
         return [
             seg for seg in self._down.get(dst, {}).values()
@@ -317,10 +311,7 @@ class SegmentRegistry:
 
     def core_segments(
         self, origin: Optional[IA] = None, terminal: Optional[IA] = None,
-        now: Optional[float] = None,
     ) -> List[Beacon]:
-        if now is not None:
-            self.purge_expired(now)
         self.stats.inc("lookups")
         index = self._core_index
         if index is None:

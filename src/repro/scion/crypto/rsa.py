@@ -29,9 +29,11 @@ _SMALL_PRIMES: Tuple[int, ...] = tuple(
     if all(p % q for q in range(2, int(p ** 0.5) + 1))
 )
 _SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
+#: Miller-Rabin rounds per candidate.
+MILLER_RABIN_ROUNDS = 24
 
 
-def _is_probable_prime(n: int, rng: random.Random, rounds: int = 24) -> bool:
+def _is_probable_prime(n: int, rng: random.Random) -> bool:
     if n < 1000:
         return n in _SMALL_PRIMES
     # Trial division by every small prime at once.
@@ -42,7 +44,7 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):

@@ -183,18 +183,18 @@ class BorderRouter:
                 f"router {self.ia} asked to process hop of {hop.ia}"
             )
         if hop.expiry < now:
-            return self._drop_decision(Verdict.DROP_EXPIRED)
+            return self._drop_decision(Verdict.DROP_EXPIRED, 0)
         if hop.expiry > record.info.timestamp + MAX_HOP_LIFETIME_S:
-            return self._drop_decision(Verdict.DROP_INFLATED_HOP)
+            return self._drop_decision(Verdict.DROP_INFLATED_HOP, 0)
         if not hop.verify(self._key, record.info.timestamp):
-            return self._drop_decision(Verdict.DROP_BAD_MAC)
+            return self._drop_decision(Verdict.DROP_BAD_MAC, 0)
         ingress, egress = record.oriented()
         if (
             arrival_ifid is not None
             and not record.is_seg_first
             and ingress != arrival_ifid
         ):
-            return self._drop_decision(Verdict.DROP_WRONG_INGRESS)
+            return self._drop_decision(Verdict.DROP_WRONG_INGRESS, 0)
 
         if next_record is None:
             return _DELIVER
@@ -206,7 +206,7 @@ class BorderRouter:
         # hop of a segment egresses over the peer link to a different AS.
         if egress == 0:
             # Terminal hop field but the path continues: malformed.
-            return self._drop_decision(Verdict.DROP_NO_INTERFACE)
+            return self._drop_decision(Verdict.DROP_NO_INTERFACE, 0)
         if egress not in self.topology.interfaces:
             return self._drop_decision(Verdict.DROP_NO_INTERFACE, egress)
         if egress in self._down_interfaces:
@@ -219,7 +219,7 @@ class BorderRouter:
             self._forward_decisions[egress] = decision
         return decision
 
-    def _drop_decision(self, verdict: Verdict, egress_ifid: int = 0) -> RouterDecision:
+    def _drop_decision(self, verdict: Verdict, egress_ifid: int) -> RouterDecision:
         self._drop_counters[verdict].inc()
         if verdict in _TAMPER_VERDICTS:
             self.security_tampered.inc()

@@ -369,7 +369,6 @@ class ScionNetwork:
         self,
         src: IA,
         dst: IA,
-        max_paths: Optional[int] = None,
         refresh: bool = False,
         now: Optional[float] = None,
         deadline_s: Optional[float] = None,
@@ -422,7 +421,7 @@ class ScionNetwork:
             # A tuple in the memo, a fresh list out: callers may sort or
             # clear what they get without corrupting the next lookup.
             metas = self._path_cache[key] = tuple(map(self._meta, raw))
-        return list(metas[:max_paths])
+        return list(metas)
 
     def _meta(self, path: DataplanePath) -> PathMeta:
         return PathMeta(
@@ -440,19 +439,15 @@ class ScionNetwork:
         jitter = int(raw[:4], 16) / 0xFFFF
         return 10.0 * max(0, path.num_as_hops() - 1) + 5.0 * jitter
 
-    def active_paths(
-        self, src: IA, dst: IA, now: Optional[float] = None
-    ) -> List[PathMeta]:
+    def active_paths(self, src: IA, dst: IA) -> List[PathMeta]:
         """Paths known to the control plane AND usable on the data plane."""
-        t = self.timestamp if now is None else now
         return [
             meta for meta in self.paths(src, dst)
-            if self.dataplane.probe(meta.path, t).success
+            if self.dataplane.probe(meta.path, self.timestamp).success
         ]
 
-    def probe(self, meta: PathMeta, now: Optional[float] = None) -> ProbeResult:
-        t = self.timestamp if now is None else now
-        return self.dataplane.probe(meta.path, t)
+    def probe(self, meta: PathMeta) -> ProbeResult:
+        return self.dataplane.probe(meta.path, self.timestamp)
 
     # -- enrollment (the paper's "lean start and expand as you grow") -----------------
 
@@ -586,27 +581,6 @@ class ScionNetwork:
         state changed)."""
         self._path_cache.clear()
         self._core_halves.clear()
-
-    def reset_stats(self) -> None:
-        """Zero every cumulative stats counter: an explicit epoch boundary.
-
-        The convention: ``*Stats`` counters are **cumulative** — they
-        survive ``run_beaconing`` epochs and component swaps, matching
-        Prometheus counter semantics.  Experiments that want per-epoch
-        numbers call this between epochs (or construct fresh components;
-        both are equivalent).  Telemetry-backed counters are zeroed in the
-        shared registry, so exported series restart from zero too.
-
-        An attached profiler is segmented at the same boundary
-        (``mark_epoch``), so per-``run_beaconing``-epoch hot-path tables
-        are not polluted by attribution from earlier epochs.
-        """
-        self.registry.stats.reset()
-        for router in self.dataplane.routers.values():
-            router.stats.reset()
-        profiler = self.telemetry.profiler
-        if profiler is not None:
-            profiler.mark_epoch()
 
     def set_link_state(self, link_name: str, up: bool) -> None:
         try:

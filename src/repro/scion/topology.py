@@ -219,11 +219,10 @@ class GlobalTopology:
 def random_topology(
     n_ases: int,
     seed: int = 0,
-    isd: int = 71,
     n_core: Optional[int] = None,
     peer_fraction: float = 0.1,
 ) -> GlobalTopology:
-    """A seeded random SCION topology with ``n_ases`` ASes in one ISD.
+    """A seeded random SCION topology with ``n_ases`` ASes in ISD 71.
 
     The shape mirrors SCIERA's growth pattern (and the ROADMAP's scale-out
     target): a small fully-meshed core, and non-core ASes attached one at a
@@ -242,7 +241,7 @@ def random_topology(
     n_core = min(n_core, n_ases)
 
     topo = GlobalTopology()
-    cores = [IA(isd, index + 1) for index in range(n_core)]
+    cores = [IA(71, index + 1) for index in range(n_core)]
     for core in cores:
         topo.add_as(core, is_core=True, name=f"core-{core.asn}")
     # Full core mesh: with sqrt-scaled cores this stays small (64 ASes ->
@@ -252,7 +251,7 @@ def random_topology(
         for b in cores[index + 1:]:
             topo.add_link(a, b, LinkType.CORE, rng.uniform(0.002, 0.050))
 
-    leaves = [IA(isd, 100 + index) for index in range(n_ases - n_core)]
+    leaves = [IA(71, 100 + index) for index in range(n_ases - n_core)]
     placed: List[IA] = list(cores)
     for leaf in leaves:
         topo.add_as(leaf, name=f"as-{leaf.asn}")

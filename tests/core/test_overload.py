@@ -136,15 +136,6 @@ class TestOverloadGuard:
         assert guard.overloaded(0.0)
         assert not guard.overloaded(0.2)
 
-    def test_reset_clears_queue_and_counters(self):
-        guard = OverloadGuard(0.01, queue_capacity=2, codel_target_s=None)
-        for _ in range(4):
-            guard.offer(0.0)
-        guard.reset()
-        assert guard.queue_depth(0.0) == 0
-        assert guard.stats.offered == 0
-        assert guard.offer(0.0).admitted
-
     def test_invalid_parameters_raise(self):
         with pytest.raises(OverloadError):
             OverloadGuard(0.0)

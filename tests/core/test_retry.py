@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.retry import RetryError, RetryPolicy, RetrySchedule
+from repro.core.retry import RetryError, RetryPolicy
 from repro.errors import ReproError
 
 

@@ -105,7 +105,7 @@ def bootstrap_setup(diamond_network):
         trcs=[net.trc_for(71)],
     )
     env = NetworkEnvironment(has_dhcp=True, has_dns_search_domain=True)
-    env.advertise_everywhere(server.ip, server.port)
+    env.advertise_everywhere(server.ip)
     servers = {(server.ip, server.port): server}
     return net, server, env, servers
 
@@ -173,7 +173,7 @@ class TestBootstrapper:
         )
         servers = {(rogue.ip, rogue.port): rogue}
         env2 = NetworkEnvironment(has_dns_search_domain=True)
-        env2.advertise_everywhere(rogue.ip, rogue.port)
+        env2.advertise_everywhere(rogue.ip)
         bootstrapper = Bootstrapper(env2, servers, rng=random.Random(6))
         with pytest.raises(BootstrapError, match="different AS"):
             bootstrapper.bootstrap()

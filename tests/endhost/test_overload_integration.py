@@ -1,29 +1,16 @@
-"""Endhost overload integration: daemon stale-serve, pan/bootstrap gating.
+"""Endhost overload integration: the daemon side of graceful degradation.
 
-The client side of graceful degradation: a daemon that honors an overload
-rejection by serving stale instead of retrying, congestion SCMP that never
-down-marks an interface, and pan/bootstrap retries bounded by a shared
-retry budget and circuit breaker.
+A daemon that honors an overload rejection by serving stale instead of
+retrying, a deadline that reaches the path server, and congestion SCMP
+that never down-marks an interface.
 """
-
-import random
 
 import pytest
 
-from repro.core.overload import CircuitBreaker, OverloadGuard, RetryBudget
-from repro.core.retry import RetryPolicy
-from repro.endhost.bootstrap import (
-    BootstrapError,
-    Bootstrapper,
-    BootstrapServer,
-    NetworkEnvironment,
-    TransientBootstrapError,
-)
+from repro.core.overload import OverloadGuard
 from repro.endhost.daemon import Daemon
-from repro.endhost.pan import HostRegistry, PanContext, ScionHost
-from repro.endhost.policy import LowestLatencyPolicy
-from repro.netsim.chaos import FaultInjector, FaultProfile
-from repro.scion.addr import HostAddr, IA
+from repro.endhost.pan import HostRegistry, ScionHost
+from repro.scion.addr import IA
 from tests.scion.reference_codec import queue_full
 
 A = IA.parse("71-100")
@@ -89,114 +76,3 @@ class TestDaemonOverload:
         assert daemon.stats.scmp_interface_down == 0
         # All paths survive: congestion must not look like an outage.
         assert len(daemon.lookup(B, now=1.0)) == len(before)
-
-
-class TestPanOverloadGating:
-    def _client(self, world):
-        net, registry, host_a, host_b = world
-        ctx_a, ctx_b = PanContext(host_a), PanContext(host_b)
-        ctx_b.open_socket(8080).on_message(lambda p, s, pa: b"ok")
-        return net, ctx_a.open_socket(), HostAddr(B, host_b.ip, 8080)
-
-    def test_retry_budget_stops_failover_amplification(self, world):
-        net, client, dst = self._client(world)
-        policy = LowestLatencyPolicy()
-        client.send_with_failover(dst, b"warm", policy=policy, now=0.0)
-        budget = RetryBudget(ratio=0.0, capacity=1.0)
-        assert budget.try_retry()  # drain the bucket up front
-        net.set_link_state("a-c1", False)
-        net.set_link_state("a-c2", False)
-        try:
-            result = client.send_with_failover(
-                dst, b"ping", policy=policy, max_attempts=4, now=1.0,
-                retry_budget=budget,
-            )
-            assert not result.success
-            # The first failover attempt needs a token; with ratio=0 the
-            # fresh request earned none, so the storm stops immediately.
-            assert result.failure == "retry-budget-exhausted"
-            assert budget.spent == 1
-            assert budget.exhausted == 1
-        finally:
-            net.set_link_state("a-c1", True)
-            net.set_link_state("a-c2", True)
-
-    def test_open_breaker_refuses_locally(self, world):
-        net, client, dst = self._client(world)
-        policy = LowestLatencyPolicy()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0)
-        breaker.record_failure(0.0)
-        result = client.send_with_failover(
-            dst, b"ping", policy=policy, now=1.0, breaker=breaker,
-        )
-        assert not result.success
-        assert result.failure == "circuit-open"
-
-    def test_breaker_closes_after_successful_probe(self, world):
-        net, client, dst = self._client(world)
-        policy = LowestLatencyPolicy()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=5.0)
-        breaker.record_failure(0.0)
-        result = client.send_with_failover(
-            dst, b"ping", policy=policy, now=6.0, breaker=breaker,
-        )
-        assert result.success  # the half-open probe
-        assert breaker.allow(6.1)
-
-
-class TestBootstrapOverloadGating:
-    def _chaotic_setup(self, net, down):
-        service = net.services[A]
-        server = BootstrapServer(
-            topology=service.topology, signing_key=service.signing_key,
-            certificate=service.certificate, trcs=[net.trc_for(71)],
-        )
-        injector = FaultInjector(seed=3)
-        chaotic = injector.wrap_server(
-            server, FaultProfile(), name="bootstrap"
-        )
-        if down:
-            chaotic.set_down(True, now=0.0)
-        env = NetworkEnvironment(has_dns_search_domain=True)
-        env.advertise_everywhere(server.ip, server.port)
-        return env, {(server.ip, server.port): chaotic}, chaotic
-
-    def test_retry_budget_bounds_bootstrap_attempts(self, world):
-        net, *_ = world
-        env, servers, chaotic = self._chaotic_setup(net, down=True)
-        budget = RetryBudget(ratio=0.0, capacity=2.0)
-        client = Bootstrapper(
-            env, servers, rng=random.Random(4),
-            retry_policy=RetryPolicy(max_attempts=10, base_delay_s=0.01,
-                                     max_delay_s=0.1, deadline_s=60.0),
-            retry_budget=budget,
-        )
-        with pytest.raises(BootstrapError, match="retry budget exhausted"):
-            client.bootstrap()
-        # 1 fresh attempt + at most the 2 budgeted retries ever reach the
-        # server — the budget, not the retry policy's 10 attempts, binds.
-        assert 1 <= chaotic.refused_requests <= 3
-        assert budget.exhausted == 1
-
-    def test_open_breaker_fails_fast(self, world):
-        net, *_ = world
-        env, servers, chaotic = self._chaotic_setup(net, down=False)
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=100.0)
-        breaker.record_failure(0.0)
-        client = Bootstrapper(
-            env, servers, rng=random.Random(5), breaker=breaker,
-        )
-        with pytest.raises(TransientBootstrapError, match="circuit open"):
-            client.bootstrap()
-        assert chaotic.refused_requests == 0  # refused locally, server untouched
-
-    def test_breaker_records_bootstrap_outcomes(self, world):
-        net, *_ = world
-        env, servers, _ = self._chaotic_setup(net, down=False)
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout_s=1.0)
-        client = Bootstrapper(
-            env, servers, rng=random.Random(6), breaker=breaker,
-        )
-        client.bootstrap()
-        assert breaker.state.value == "closed"
-        assert breaker.transitions == []

@@ -82,7 +82,7 @@ class TestPanModes:
         server = BootstrapServer(service.topology, service.signing_key,
                                  service.certificate, [net.trc_for(71)])
         env = NetworkEnvironment(has_dns_search_domain=True)
-        env.advertise_everywhere(server.ip, server.port)
+        env.advertise_everywhere(server.ip)
         bootstrapper = Bootstrapper(env, {(server.ip, server.port): server},
                                     rng=random.Random(1))
         pre = bootstrapper.bootstrap()
@@ -96,7 +96,7 @@ class TestPanModes:
         server = BootstrapServer(service.topology, service.signing_key,
                                  service.certificate, [net.trc_for(71)])
         env = NetworkEnvironment(has_dns_search_domain=True)
-        env.advertise_everywhere(server.ip, server.port)
+        env.advertise_everywhere(server.ip)
         bootstrapper = Bootstrapper(env, {(server.ip, server.port): server},
                                     rng=random.Random(2))
         host = ScionHost(net, A, "10.0.1.12", registry, bootstrapper=bootstrapper)
@@ -116,7 +116,7 @@ class TestPanModes:
         server = BootstrapServer(service.topology, service.signing_key,
                                  service.certificate, [net.trc_for(71)])
         env = NetworkEnvironment(has_dns_search_domain=True)
-        env.advertise_everywhere(server.ip, server.port)
+        env.advertise_everywhere(server.ip)
         bootstrapper = Bootstrapper(env, {(server.ip, server.port): server},
                                     rng=random.Random(3))
         host = ScionHost(net, A, "10.0.1.14", registry, bootstrapper=bootstrapper)

@@ -4,12 +4,9 @@ import pytest
 
 from repro.endhost.policy import (
     GeofencePolicy,
-    GreenPolicy,
     LowestLatencyPolicy,
-    MostDisjointPolicy,
     PolicyError,
     PreferencePolicy,
-    SequencePolicy,
     ShortestPolicy,
     policy_from_commandline,
 )
@@ -45,16 +42,8 @@ class TestBasicPolicies:
         best = LowestLatencyPolicy().best(candidates)
         assert best is slow_but_measured_fast
 
-    def test_most_disjoint_vs_shortest(self, paths):
-        shortest = ShortestPolicy().best(paths)
-        ordered = MostDisjointPolicy([shortest]).order(paths)
-        best = ordered[0]
-        # The most disjoint path shares fewer interfaces with the shortest
-        # than the shortest does with itself.
-        assert best.shared_interfaces([shortest]) < len(shortest.interfaces)
-
     def test_green_orders_by_carbon(self, paths):
-        ordered = GreenPolicy().order(paths)
+        ordered = PreferencePolicy("carbon").order(paths)
         carbon = [p.carbon_gco2_per_gb for p in ordered]
         assert carbon == sorted(carbon)
 
@@ -78,38 +67,6 @@ class TestGeofence:
         assert GeofencePolicy(allowed_isds=[64]).order(paths) == []
 
 
-class TestSequence:
-    def test_exact_sequence(self, paths):
-        policy = SequencePolicy("71-100 71-2 71-200")
-        matching = policy.order(paths)
-        assert matching
-        for meta in matching:
-            assert [str(ia) for ia in meta.as_sequence] == [
-                "71-100", "71-2", "71-200",
-            ]
-
-    def test_wildcard_star(self, paths):
-        assert SequencePolicy("71-100 0* 71-200").order(paths) == list(paths)
-
-    def test_single_any(self, paths):
-        policy = SequencePolicy("71-100 0 71-200")
-        for meta in policy.order(paths):
-            assert meta.path.num_as_hops() == 3
-
-    def test_isd_wildcard(self, paths):
-        assert SequencePolicy("71-0 0* 71-0").order(paths) == list(paths)
-
-    def test_via_specific_core(self, paths):
-        policy = SequencePolicy("0* 71-1 0*")
-        for meta in policy.order(paths):
-            assert IA.parse("71-1") in meta.as_sequence
-
-    @pytest.mark.parametrize("bad", ["", "banana", "71", "x-1 0*"])
-    def test_malformed_sequences_rejected(self, bad):
-        with pytest.raises(PolicyError):
-            SequencePolicy(bad)
-
-
 class TestPreferenceAndCommandline:
     def test_preference_latency(self, paths):
         ordered = PreferencePolicy("latency").order(paths)
@@ -129,9 +86,17 @@ class TestPreferenceAndCommandline:
         with pytest.raises(PolicyError):
             PreferencePolicy("")
 
+    def test_disjointness_is_not_a_criterion(self):
+        # PAN's disjointness ranks against reference paths, which a
+        # command line cannot name: the flag is refused, not ignored.
+        with pytest.raises(
+            PolicyError, match=r"available: latency\|hops\|carbon"
+        ):
+            PreferencePolicy("disjointness")
+
     def test_commandline_combination(self, paths):
         policy = policy_from_commandline(
-            sequence="71-100 0* 71-200", preference="latency"
+            preference="latency", interactive=True, chooser=lambda ordered: 0
         )
         ordered = policy.order(paths)
         assert ordered[0].latency_estimate_s == min(

@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.endhost.policy import (
     GeofencePolicy,
-    GreenPolicy,
     LowestLatencyPolicy,
-    SequencePolicy,
+    PreferencePolicy,
     ShortestPolicy,
 )
 from repro.scion.addr import IA
@@ -56,7 +55,8 @@ metas = st.lists(path_meta(), min_size=0, max_size=8)
 @given(metas)
 @settings(max_examples=50, deadline=None)
 def test_policies_return_subsets_in_order(paths):
-    for policy in (ShortestPolicy(), LowestLatencyPolicy(), GreenPolicy()):
+    for policy in (ShortestPolicy(), LowestLatencyPolicy(),
+                   PreferencePolicy("carbon")):
         ordered = policy.order(paths)
         # A pure ordering policy is a permutation; no invention, no loss.
         assert sorted(p.fingerprint for p in ordered) == sorted(
@@ -67,7 +67,8 @@ def test_policies_return_subsets_in_order(paths):
 @given(metas)
 @settings(max_examples=50, deadline=None)
 def test_policy_ordering_is_idempotent(paths):
-    for policy in (ShortestPolicy(), LowestLatencyPolicy(), GreenPolicy()):
+    for policy in (ShortestPolicy(), LowestLatencyPolicy(),
+                   PreferencePolicy("carbon")):
         once = policy.order(paths)
         twice = policy.order(once)
         assert [p.fingerprint for p in once] == [p.fingerprint for p in twice]
@@ -82,18 +83,3 @@ def test_geofence_filters_exactly_forbidden(paths, forbidden_asns):
     for meta in paths:
         touches = any(ia in forbidden for ia in meta.as_sequence)
         assert (meta in allowed) == (not touches)
-
-
-@given(metas)
-@settings(max_examples=50, deadline=None)
-def test_star_sequence_matches_everything(paths):
-    assert SequencePolicy("0*").order(paths) == list(paths)
-
-
-@given(path_meta())
-@settings(max_examples=50, deadline=None)
-def test_exact_sequence_matches_itself(meta):
-    sequence = " ".join(str(ia) for ia in meta.as_sequence)
-    assert SequencePolicy(sequence).matches(meta)
-    # A mismatching sequence of the wrong length must not match.
-    assert not SequencePolicy(sequence + " 71-5000").matches(meta)

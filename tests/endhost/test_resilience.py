@@ -297,7 +297,7 @@ class TestPanFailover:
         registry = HostRegistry()
         server = make_server(network, "10.0.1.1")
         env = NetworkEnvironment(has_dns_search_domain=True)
-        env.advertise_everywhere(server.ip, server.port)
+        env.advertise_everywhere(server.ip)
         bootstrapper = Bootstrapper(
             env, {(server.ip, server.port): server}, rng=random.Random(2)
         )

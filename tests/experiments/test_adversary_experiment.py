@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments.adversary import (
     GOODPUT_FLOOR,
+    SEED,
     arm_digest,
     build_arm,
     run_adversarial_crucible,
@@ -18,8 +19,6 @@ from repro.experiments.adversary import (
     run_shrink_demo,
 )
 from tests.reference_arms import run_naive_campaign
-
-SEED = 0xA11  # the experiment's
 
 
 @pytest.fixture(scope="module")

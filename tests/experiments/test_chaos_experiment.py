@@ -13,20 +13,21 @@ from repro.experiments import chaos_resilience
 
 @pytest.fixture(scope="module")
 def result():
-    return chaos_resilience.run(fast=True, seed=11)
+    return chaos_resilience.run(fast=True)
 
 
 class TestDeterminism:
     def test_two_runs_byte_identical(self, result):
-        again = chaos_resilience.run(fast=True, seed=11)
+        again = chaos_resilience.run(fast=True)
         assert again.report() == result.report()
 
     def test_fault_stream_digest_in_details(self, result):
         assert "digest" in result.details
         assert "seed 11" in result.details
 
-    def test_different_seed_different_stream(self, result):
-        other = chaos_resilience.run(fast=True, seed=12)
+    def test_different_seed_different_stream(self, result, monkeypatch):
+        monkeypatch.setattr(chaos_resilience, "SEED", 12)
+        other = chaos_resilience.run(fast=True)
         own_digest = result.details.split("digest ")[1].split()[0]
         other_digest = other.details.split("digest ")[1].split()[0]
         assert own_digest != other_digest

@@ -13,7 +13,7 @@ from repro.experiments import control_chaos
 
 @pytest.fixture(scope="module")
 def result():
-    return control_chaos.run(fast=True, seed=23)
+    return control_chaos.run(fast=True)
 
 
 def _measured(result, metric):
@@ -25,15 +25,16 @@ def _measured(result, metric):
 
 class TestDeterminism:
     def test_two_runs_byte_identical(self, result):
-        again = control_chaos.run(fast=True, seed=23)
+        again = control_chaos.run(fast=True)
         assert again.report() == result.report()
 
     def test_fault_stream_digest_in_details(self, result):
         assert "digest" in result.details
         assert "seed 23" in result.details
 
-    def test_different_seed_different_stream(self, result):
-        other = control_chaos.run(fast=True, seed=24)
+    def test_different_seed_different_stream(self, result, monkeypatch):
+        monkeypatch.setattr(control_chaos, "SEED", 24)
+        other = control_chaos.run(fast=True)
         own_digest = result.details.split("digest ")[1].split()[0]
         other_digest = other.details.split("digest ")[1].split()[0]
         assert own_digest != other_digest

@@ -8,10 +8,8 @@ determinism break without paying the full campaign twice.
 
 import pytest
 
-from repro.experiments.crucible import campaign_digest, run_shrink_demo
+from repro.experiments.crucible import SEED, campaign_digest, run_shrink_demo
 from repro.netsim.crucible import generate_schedule, run_schedule
-
-SEED = 0xD57  # the campaign's seed base
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,9 @@ from repro.obs import flight_digest
 
 @pytest.fixture(scope="module")
 def slice_data(tmp_path_factory):
-    return run_slice(out_dir=tmp_path_factory.mktemp("obs-slice"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("OBS_SLICE_DIR", str(tmp_path_factory.mktemp("obs-slice")))
+        return run_slice()
 
 
 class TestArtifacts:

@@ -7,6 +7,7 @@ The experiment runs and digests the protected stack only; the naive stack
 
 import pytest
 
+from repro.experiments import overload
 from repro.experiments.overload import (
     DEADLINE_S,
     SWEEP_MULTIPLES,
@@ -128,8 +129,9 @@ class TestReproducibility:
             (7.0, "protected-storm", "load-surge-end"),
         ]
 
-    def test_different_seed_different_digest(self, storms):
-        other = run_storms(fast=True, seed=18)
+    def test_different_seed_different_digest(self, storms, monkeypatch):
+        monkeypatch.setattr(overload, "SEED", 18)
+        other = run_storms(fast=True)
         assert other["digest"] != storms["digest"]
 
 

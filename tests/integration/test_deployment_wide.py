@@ -1,7 +1,6 @@
 """Deployment-wide integration: bootstrapping everywhere, trust evolution,
 SCMP-driven failover, and green routing."""
 
-import dataclasses
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from repro.endhost.bootstrap.bootstrapper import Bootstrapper
 from repro.endhost.bootstrap.hinting import HintMechanism
 from repro.endhost.daemon import Daemon
 from repro.endhost.pan import PanContext
-from repro.endhost.policy import GreenPolicy, LowestLatencyPolicy
+from repro.endhost.policy import LowestLatencyPolicy, PreferencePolicy
 from repro.scion.addr import HostAddr, IA
 from repro.scion.crypto.rsa import RsaKeyPair
 from repro.scion.crypto.trc import Trc, verify_trc_chain
@@ -130,7 +129,7 @@ class TestGreenRouting:
         network = world.network
         src, dst = IA.parse("71-2:0:42"), IA.parse("71-2:0:3b")
         paths = network.paths(src, dst)
-        greenest = GreenPolicy().best(paths)
+        greenest = PreferencePolicy("carbon").best(paths)
         fastest = LowestLatencyPolicy().best(paths)
         assert greenest.carbon_gco2_per_gb <= fastest.carbon_gco2_per_gb
         assert network.probe(greenest).success
@@ -143,7 +142,7 @@ class TestGreenRouting:
         sock = client.open_socket()
         result = sock.send_to(
             HostAddr(server_host.ia, server_host.ip, 6100), b"eco",
-            policy=GreenPolicy(),
+            policy=PreferencePolicy("carbon"),
         )
         assert result.success
         assert result.reply == b"green-ack"

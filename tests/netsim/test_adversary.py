@@ -217,7 +217,6 @@ class TestFilterAndFloodAttacks:
         now = float(network.timestamp)
         outcome = adversary.flood_guard(
             guard, now, target="ps:test", requests=400, duration_s=0.5,
-            priority=2,
         )
         assert not outcome.succeeded
         assert outcome.detected

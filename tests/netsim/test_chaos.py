@@ -14,7 +14,7 @@ from repro.netsim.chaos import (
     LoadSurge,
     ServerOutage,
 )
-from repro.netsim.failures import FailureSchedule, LinkEvent
+from repro.netsim.failures import FailureSchedule
 from repro.netsim.link import Link
 from repro.netsim.simulator import Simulator
 from repro.scion.addr import IA

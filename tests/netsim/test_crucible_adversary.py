@@ -72,7 +72,7 @@ class TestHardenedWorldUnderAttack:
 class TestTrustRevocationsRegression:
     def test_bug_is_caught_shrunk_and_replayed(self, tmp_path):
         schedule = generate_adversarial_schedule(
-            4, n_faults=5, ensure_kind="adv-forge-revocation"
+            4, ensure_kind="adv-forge-revocation"
         )
         caught = run_schedule(schedule, bug="trust-revocations")
         assert not caught.ok
@@ -98,6 +98,6 @@ class TestTrustRevocationsRegression:
 
     def test_hardened_world_shrugs_off_same_schedule(self):
         schedule = generate_adversarial_schedule(
-            4, n_faults=5, ensure_kind="adv-forge-revocation"
+            4, ensure_kind="adv-forge-revocation"
         )
         assert run_schedule(schedule).ok

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.netsim.geo import (
-    CITY_COORDS,
     FIBER_SPEED_KM_S,
     GeoPoint,
     city,

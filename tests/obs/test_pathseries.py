@@ -86,15 +86,6 @@ class TestRecorder:
         assert doc["dropped"] == 0
         assert doc["samples"][0]["event"] == "probe"
 
-    def test_clear(self):
-        rec = PathSeriesRecorder()
-        rec.record_selection(1.0, "a", "b", ["p1"])
-        rec.record_selection(2.0, "a", "b", ["p2"])
-        rec.clear()
-        assert rec.samples == []
-        rec.record_selection(3.0, "a", "b", ["p3"])
-        assert rec.samples == []            # baseline reset too
-
 
 class TestEndhostWiring:
     def _world(self):

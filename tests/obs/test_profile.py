@@ -149,7 +149,7 @@ class TestSampling:
         sim.run_until_idle()
         ((_, calls, _, _),) = profiler.rows()
         assert calls == 40
-        entry = profiler._selected(None)[
+        entry = profiler._entries[
             ("sim", "tests.obs.test_profile", "_noop")
         ]
         assert entry.sampled == 10         # one in four
@@ -179,57 +179,12 @@ class TestSampling:
             for i in range(6):
                 sim.schedule(0.01 * (i + 1), _noop)
             sim.run_until_idle()
-            entry = profiler._selected(None)[
+            entry = profiler._entries[
                 ("sim", "tests.obs.test_profile", "_noop")
             ]
             calls_sampled.append(entry.sampled)
         assert calls_sampled[0] >= 1
         assert calls_sampled[1] >= 1
-
-
-class TestEpochs:
-    def test_mark_epoch_segments_attribution(self):
-        profiler = Profiler()
-        _run_workload(profiler)
-        profiler.mark_epoch("second")
-        _run_workload(profiler)
-        assert profiler.epoch_labels == ["epoch-0", "second"]
-        first = {";".join(f): c for f, c, _, _ in profiler.rows(epoch=0)}
-        second = {";".join(f): c for f, c, _, _ in profiler.rows(epoch=1)}
-        merged = {";".join(f): c for f, c, _, _ in profiler.rows()}
-        key = "sim;tests.obs.test_profile;Service.tick"
-        assert first[key] == 10
-        assert second[key] == 10
-        assert merged[key] == 20
-
-    def test_epoch_resets_gap_reference(self):
-        """The first event after an epoch mark owns no gap — sim time
-        spent in the previous epoch is not attributed across it."""
-        profiler = Profiler()
-        _run_workload(profiler)
-        profiler.mark_epoch()
-        sim = Simulator()
-        sim.profiler = profiler
-        sim.schedule(100.0, _noop)
-        sim.run_until_idle()
-        total = sum(s for _, _, s, _ in profiler.rows(epoch=1))
-        assert total == 0.0
-
-    def test_network_reset_stats_marks_epoch(self):
-        tel = Telemetry()
-        tel.profiler = Profiler()
-        network = ScionNetwork(make_diamond_topology(), seed=5, telemetry=tel)
-        network.paths(A, B, refresh=True)
-        assert len(tel.profiler.epoch_labels) == 1
-        network.reset_stats()
-        assert len(tel.profiler.epoch_labels) == 2
-
-    def test_render_table_names_epoch(self):
-        profiler = Profiler()
-        _run_workload(profiler)
-        profiler.mark_epoch("beacon-epoch-1")
-        table = profiler.render_table(epoch=1)
-        assert "beacon-epoch-1" in table
 
 
 class TestDataplaneIntegration:

@@ -1,12 +1,9 @@
-"""The stats reset audit: cumulative counters, explicit epoch boundaries.
+"""Stats conventions: cumulative counters, fresh components for baselines.
 
 ``RouterStats`` and ``RegistryStats`` deliberately accumulate across
 ``run_beaconing`` epochs (Prometheus counter semantics) — an experiment
-wanting a clean baseline calls ``network.reset_stats()`` explicitly
-instead of relying on components being silently rebuilt.
+wanting a clean baseline builds a fresh network.
 """
-
-import dataclasses
 
 import pytest
 
@@ -15,7 +12,6 @@ from repro.obs import (
     CounterBackedStats,
     MetricsRegistry,
     Telemetry,
-    reset_stats,
     resolve,
 )
 from repro.scion.addr import IA
@@ -56,12 +52,6 @@ class TestCounterBackedStats:
         with pytest.raises(AttributeError):
             _DemoStats().nonsense
 
-    def test_reset(self):
-        stats = _DemoStats()
-        stats.inc("misses", 5)
-        stats.reset()
-        assert stats.misses == 0
-
     def test_registry_backed_fields_are_shared_views(self):
         metrics = MetricsRegistry()
         stats = _DemoStats(metrics, labels={"as": "71-1"})
@@ -69,21 +59,6 @@ class TestCounterBackedStats:
         counter = metrics.counter("demo_hits_total", labels={"as": "71-1"})
         assert counter.value == 4
         assert 'demo_hits_total{as="71-1"} 4' in metrics.prometheus_text()
-
-    def test_reset_stats_handles_plain_dataclasses(self):
-        @dataclasses.dataclass
-        class Plain:
-            rounds: int = 0
-            names: list = dataclasses.field(default_factory=list)
-
-        plain = Plain(rounds=7, names=["x"])
-        reset_stats(plain)
-        assert plain.rounds == 0
-        assert plain.names == []
-        backed = _DemoStats()
-        backed.inc("hits")
-        reset_stats(backed)
-        assert backed.hits == 0
 
 
 class TestEpochConvention:
@@ -97,16 +72,6 @@ class TestEpochConvention:
         # Cumulative counter semantics: a beaconing epoch is not a reset.
         assert network.registry.stats.lookups >= lookups_before
         assert network.dataplane.routers[A].stats.forwarded == 10
-
-    def test_reset_stats_is_the_epoch_boundary(self):
-        network = ScionNetwork(_topology(), seed=3, telemetry=Telemetry())
-        network.registry.stats.inc("lookups", 3)
-        network.dataplane.routers[A].stats.inc("forwarded", 2)
-        network.reset_stats()
-        assert network.registry.stats.lookups == 0
-        for router in network.dataplane.routers.values():
-            assert router.stats.forwarded == 0
-            assert router.stats.queue_drops == 0
 
 
 class TestDisabledMode:

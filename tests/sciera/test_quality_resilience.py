@@ -115,7 +115,7 @@ class TestLightningFilter:
     def test_line_rate_claim(self):
         """The paper's 100 Gbps line-rate claim at MTU-sized packets."""
         lf = self.make_filter(cores=8)
-        assert lf.saturates_100g(packet_bytes=1500)
+        assert lf.saturates_100g()
         assert not LightningFilter(
             IA.parse("71-1"), SymmetricKey(b"f" * 32), cores=1
         ).saturates_100g()
@@ -136,10 +136,11 @@ class TestHercules:
         transfer = HerculesTransfer(
             world.network, IA.parse("71-2:0:3d"), IA.parse("71-2:0:3e"),
         )
-        single = transfer.run(size_bytes=1024**3, max_paths=1)
-        multi = transfer.run(size_bytes=1024**3, max_paths=4)
-        # SG-AMS has four parallel circuits: multipath must beat one path.
-        assert multi.goodput_bps > single.goodput_bps
+        multi = transfer.run(size_bytes=1024**3)
+        # SG-AMS has four parallel circuits: multipath must beat one path,
+        # which carries at most its own capacity.
+        assert multi.paths_used > 1
+        assert multi.goodput_bps > transfer.per_path_bandwidth_bps
 
     def test_dispatcher_is_the_bottleneck(self, world):
         reports = datapath_ablation(

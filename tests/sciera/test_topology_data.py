@@ -3,7 +3,6 @@
 import pytest
 
 from repro.scion.addr import IA
-from repro.scion.topology import LinkType
 from repro.sciera.topology_data import (
     FIG8_ASES,
     MEASUREMENT_VANTAGE_POINTS,
@@ -54,8 +53,6 @@ class TestParticipants:
         assert participant("71-10881").planned
         topo = build_sciera_topology()
         assert IA.parse("71-10881") not in topo.ases
-        with_planned = build_sciera_topology(include_planned=True)
-        assert IA.parse("71-10881") in with_planned.ases
 
     def test_heterogeneous_flavors(self):
         """Section 4.5: both implementations must be present."""

@@ -13,10 +13,7 @@ from repro.sciera.analysis import (
     fig5_latency_cdf,
     fig6_ratio_cdf,
     fig7_ratio_over_time,
-    fig8_max_active_paths,
-    fig9_median_deviation,
 )
-from repro.sciera.topology_data import FIG8_ASES
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,11 @@ against it, fingerprint for fingerprint and in the same order.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.scion.addr import IA
 from repro.scion.control.combinator import CombinatorError
-from repro.scion.control.segments import ASEntry, Beacon
+from repro.scion.control.segments import Beacon
 from repro.scion.path import (
     DataplanePath,
     HopField,

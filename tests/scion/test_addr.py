@@ -11,7 +11,6 @@ from repro.scion.addr import (
     MAX_BGP_AS,
     format_as,
     parse_as,
-    parse_isd,
 )
 
 

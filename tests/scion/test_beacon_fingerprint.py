@@ -8,7 +8,6 @@ parent's cache.
 """
 
 from repro.netsim.crucible import TOPOLOGIES
-from repro.scion.addr import IA
 from repro.scion.network import ScionNetwork
 
 

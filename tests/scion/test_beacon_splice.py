@@ -99,15 +99,15 @@ class TestSpliceAgainstWarmMemo:
             forged.verify(resolver)
 
 
-def reference_select(store: BeaconStore, origin, k: int, max_detour=2) -> List[Beacon]:
+def reference_select(store: BeaconStore, origin, k: int) -> List[Beacon]:
     """``BeaconStore.select`` with every interface set rebuilt per score."""
     candidates = sorted(
         store._by_origin.get(origin, {}).values(),
         key=lambda b: (len(b), b.interface_fingerprint()),
     )
-    if candidates and max_detour is not None:
+    if candidates:
         shortest = len(candidates[0])
-        candidates = [b for b in candidates if len(b) <= shortest + max_detour]
+        candidates = [b for b in candidates if len(b) <= shortest + 2]
     if len(candidates) <= k:
         return candidates
     chosen: List[Beacon] = []
@@ -138,12 +138,11 @@ class TestSelectDifferential:
             for store in stores.values():
                 for origin in store.origins():
                     for k in (1, 3, 6):
-                        for max_detour in (2, None):
-                            got = store.select(origin, k, max_detour)
-                            want = reference_select(store, origin, k, max_detour)
-                            assert [id(b) for b in got] == [id(b) for b in want]
-                            if len(store.beacons_from(origin)) > k:
-                                greedy_rounds += 1
+                        got = store.select(origin, k)
+                        want = reference_select(store, origin, k)
+                        assert [id(b) for b in got] == [id(b) for b in want]
+                        if len(store.beacons_from(origin)) > k:
+                            greedy_rounds += 1
         assert greedy_rounds > 20  # the greedy loop, not just the short cut
 
     def test_sciera_stores(self, sciera_world):

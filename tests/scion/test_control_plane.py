@@ -17,11 +17,6 @@ from repro.scion.control.combinator import (
 )
 from repro.scion.control.segments import Beacon, BeaconError
 from repro.scion.crypto.rsa import RsaKeyPair
-from tests.conftest import (
-    make_diamond_topology,
-    make_peering_topology,
-    make_shortcut_topology,
-)
 
 A = IA.parse("71-100")
 B = IA.parse("71-200")

@@ -9,7 +9,6 @@ import pytest
 
 from repro.netsim.simulator import Simulator
 from repro.scion.addr import IA, HostAddr
-from repro.scion.crypto.keys import SymmetricKey
 from repro.scion.dataplane.dispatcher import EndHostDataPathModel
 from repro.scion.dataplane.router import QUEUE_CAPACITY
 from repro.scion.packet import ScionPacket
@@ -18,12 +17,7 @@ from repro.scion.scmp import (
     CODE_UNKNOWN_PATH_INTERFACE,
     ScmpType,
 )
-from repro.scion.path import (
-    DataplanePath,
-    HopField,
-    PathSegmentHops,
-    InfoField,
-)
+from repro.scion.path import DataplanePath, PathSegmentHops
 from tests.scion.reference_codec import reverse_packet
 
 A = IA.parse("71-100")

@@ -20,7 +20,6 @@ from repro.scion.crypto.drkey import (
     DEFAULT_EPOCH_S,
     DrkeyClient,
     DrkeyProvider,
-    epoch_at,
 )
 from repro.scion.crypto.keys import SymmetricKey
 from repro.sciera.lightningfilter import LightningFilter

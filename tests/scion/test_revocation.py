@@ -352,7 +352,7 @@ class TestQuarantineSurvivesRestart:
         served = network.paths(A, B, refresh=True, now=later)
         assert len(served) == known
         verdicts = [
-            (key in meta.interfaces, network.probe(meta, now=later))
+            (key in meta.interfaces, network.dataplane.probe(meta.path, later))
             for meta in served
         ]
         crossing = [result for crosses, result in verdicts if crosses]

@@ -93,9 +93,10 @@ def chaos_telemetry_snapshot(seed: int = 11) -> Dict[str, object]:
             network, now=2.5, supervisor=supervisor, monitor=monitor,
             events=tel.events,
         )
-        ingest = tel.tracer.spans(name="revocation.ingest")
+        spans = tel.tracer.spans()
+        ingest = [s for s in spans if s.name == "revocation.ingest"]
         trace_id = ingest[0].trace_id if ingest else ""
-        trace = tel.tracer.spans(trace_id=trace_id)
+        trace = [s for s in spans if s.trace_id == trace_id]
         return {
             "prometheus": tel.metrics.prometheus_text(),
             "metrics_json": tel.metrics.to_json(),
@@ -126,7 +127,6 @@ def overload_telemetry_snapshot(seed: int = 17) -> Dict[str, object]:
     network.services[A].path_server.segments_for(B, now=0.0)
     outcome = overload_exp._run_storm(
         network, overload_exp._storm(1.0, 4.0, seed), duration_s=6.0,
-        telemetry=tel,
     )
     return {
         "outcome": outcome,

@@ -18,9 +18,12 @@ module; otherwise the audit exits 1.
 On every call into ``src/repro`` it also records which defaulted parameters
 the caller bound to something other than the default.  It prints how many
 defaulted parameters of the functions the roots enter no root ever sets,
-and the same count for constructors.  The constructor parameters no root
-sets must be exactly DESIGN.md's "Constructor parameters only tests set"
-ledger, one line per class; otherwise the audit exits 1.
+and the same count for constructors.  Every such parameter must be in one
+of DESIGN.md's two parameter ledgers: a constructor's in "Constructor
+parameters only tests set" (one line per class), any other function's or
+method's in "Parameters only tests set" (one line per qualname).  A
+parameter no root sets that is in neither, or a ledger entry a root now
+sets, makes the audit exit 1.
 
 Run:  PYTHONPATH=src python tests/tools/reach.py  (several minutes)
 """
@@ -178,22 +181,33 @@ def ledger() -> set:
     return set(re.findall(r"^- `([\w/]+\.py)`", section, re.M))
 
 
-def constructor_ledger() -> set:
-    """``(class, parameter)`` pairs listed under DESIGN.md's "Constructor
-    parameters only tests set" (lines ``- `Class`: a, b — why``)."""
-    section = _design_section("Constructor parameters only tests set")
+def _parameter_lines(title: str) -> set:
+    """``(name, parameter)`` pairs from ``- `name`: a, b — why`` lines."""
+    section = _design_section(f"### {title}\n")
     return {
-        (cls, name.strip())
-        for cls, names in re.findall(r"^- `(\w+)`: ([\w, ]+) —", section, re.M)
+        (owner, name.strip())
+        for owner, names in re.findall(r"^- `([\w.]+)`: ([\w, ]+) —", section, re.M)
         for name in names.split(",")
     }
 
 
+def constructor_ledger() -> set:
+    """``(class, parameter)`` pairs listed under DESIGN.md's "Constructor
+    parameters only tests set" (lines ``- `Class`: a, b — why``)."""
+    return _parameter_lines("Constructor parameters only tests set")
+
+
+def parameter_ledger() -> set:
+    """``(qualname, parameter)`` pairs listed under DESIGN.md's "Parameters
+    only tests set" (lines ``- `Class.method`: a, b — why``)."""
+    return _parameter_lines("Parameters only tests set")
+
+
 def unset_parameters():
-    """(all, constructor) defaulted parameters of the functions the roots
-    entered that no root bound to a non-default value; constructor ones as
-    ``(class, parameter)``."""
-    unset, constructors = [], set()
+    """(all, constructor, other) defaulted parameters of the functions the
+    roots entered that no root bound to a non-default value; constructor
+    ones as ``(class, parameter)``, the others as ``(qualname, parameter)``."""
+    unset, constructors, others = [], set(), set()
     for (_, qualname), seen in params_set.items():
         for name, was_set in seen.items():
             if was_set:
@@ -202,7 +216,18 @@ def unset_parameters():
             cls, _, method = qualname.rpartition(".")
             if method == "__init__":
                 constructors.add((cls, name))
-    return unset, constructors
+            else:
+                others.add((qualname, name))
+    return unset, constructors, others
+
+
+def _check_ledger(kind: str, found: set, listed: set) -> bool:
+    print(f"{kind} parameters no root sets: {len(found)}")
+    for owner, name in sorted(found - listed):
+        print(f"  {owner}({name})  <- not in the ledger")
+    for owner, name in sorted(listed - found):
+        print(f"ledger entry {owner}({name}) is set by a root now (or gone): drop it")
+    return found == listed
 
 
 def main() -> int:
@@ -233,16 +258,12 @@ def main() -> int:
         print(f"  {name}" + ("" if name in listed else "  <- not in the ledger"))
     for name in sorted(listed - unreached):
         print(f"ledger entry {name} is reached now (or gone): drop it")
-    unset, constructors = unset_parameters()
+    unset, constructors, others = unset_parameters()
     print(f"defaulted parameters no root sets: {len(unset)} "
           f"(of {sum(map(len, params_set.values()))} in functions the roots enter)")
-    print(f"constructor parameters no root sets: {len(constructors)}")
-    listed_params = constructor_ledger()
-    for cls, name in sorted(constructors - listed_params):
-        print(f"  {cls}({name})  <- not in the ledger")
-    for cls, name in sorted(listed_params - constructors):
-        print(f"ledger entry {cls}({name}) is set by a root now (or gone): drop it")
-    ok = unreached == listed and constructors == listed_params
+    ok = unreached == listed
+    ok &= _check_ledger("constructor", constructors, constructor_ledger())
+    ok &= _check_ledger("other", others, parameter_ledger())
     return 0 if ok else 1
 
 

@@ -1,4 +1,5 @@
-"""Every name a ``src/repro`` module imports, it uses.
+"""Every name a module of ``src/repro``, ``tests/`` or ``examples/`` imports,
+it uses.
 
 A stdlib ``ast`` scan (no linter needed): each name an ``import`` binds must
 be referenced somewhere in the module — as a name, as the base of an
@@ -11,7 +12,10 @@ count, because the scan reads the whole module.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+PACKAGE = ROOT / "src" / "repro"
 
 
 def _annotation_names(node):
@@ -73,11 +77,21 @@ def test_scanner_sees_string_annotations_and_type_checking():
     assert unused_imports(source) == [(3, "c"), (3, "d")]
 
 
-def test_no_unused_imports_in_src():
-    findings = [
-        f"{path.relative_to(PACKAGE)}:{line}: {name}"
-        for path in sorted(PACKAGE.rglob("*.py"))
+def _findings(directory: Path):
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(directory.rglob("*.py"))
         if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]
+
+
+def test_no_unused_imports_in_src():
+    findings = _findings(PACKAGE)
+    assert not findings, "unused imports:\n" + "\n".join(findings)
+
+
+@pytest.mark.parametrize("directory", ["tests", "examples"])
+def test_no_unused_imports_outside_src(directory):
+    findings = _findings(ROOT / directory)
     assert not findings, "unused imports:\n" + "\n".join(findings)
