@@ -2,7 +2,7 @@
 
 Public API entry points:
 
-* :class:`repro.scion.ScionNetwork` — a full SCION network over any topology.
+* :class:`repro.scion.network.ScionNetwork` — a full SCION network over any topology.
 * :func:`repro.sciera.build.build_sciera` — the SCIERA deployment itself.
 * :mod:`repro.endhost` — daemon, bootstrapper, and the PAN app library.
 * :mod:`repro.experiments` — one module per paper figure/table.

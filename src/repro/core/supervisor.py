@@ -8,7 +8,7 @@ churn.  This module supervises the control-plane services of a
 system supervises processes:
 
 * periodic **health checks** on simulator time detect crashed services;
-* a **restart policy** (the shared :class:`~repro.core.retry.RetryPolicy`
+* a **restart policy** (the shared :class:`~repro.resilience.retry.RetryPolicy`
   discipline) backs off before restarting them;
 * restarts are **cold** (empty beacon stores and segment registry, so the
   network must re-beacon to a fixed point — the convergence we measure) or
@@ -31,9 +31,9 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.retry import RetryError, RetryPolicy
 from repro.errors import ReproError
 from repro.obs import Telemetry, register_stats_collector, resolve
+from repro.resilience.retry import RetryError, RetryPolicy
 from repro.scion.addr import IA
 from repro.scion.network import ScionNetwork
 from repro.scion.revocation import Revocation

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.retry import RetryPolicy
 from repro.errors import ReproError
 from repro.endhost.bootstrap.hinting import (
     Hint,
@@ -24,6 +23,7 @@ from repro.endhost.bootstrap.hinting import (
 )
 from repro.endhost.bootstrap.server import BootstrapServer, TopologyDocument
 from repro.endhost.bootstrap.timing import OS_MODELS, OsTimingModel
+from repro.resilience.retry import RetryPolicy
 from repro.scion.crypto.cppki import CertificateError, verify_chain
 from repro.scion.crypto.trc import Trc, TrcError, verify_trc_chain
 

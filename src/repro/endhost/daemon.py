@@ -26,9 +26,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.overload import OverloadRejected
 from repro.errors import ReproError
 from repro.obs import CounterBackedStats, Telemetry, resolve
+from repro.resilience.overload import OverloadRejected
 from repro.scion.addr import IA
 from repro.scion.control.path_server import RevocationCheck
 from repro.scion.control.service import TrustStore

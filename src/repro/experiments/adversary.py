@@ -2,7 +2,7 @@
 
 The resilience experiments so far compose *benign* faults — crashes,
 outages, surges.  This experiment instead mounts deliberate Byzantine
-attacks from :mod:`repro.netsim.adversary` against the stack as shipped:
+attacks from :mod:`repro.harness.adversary` against the stack as shipped:
 every ingestion point verifies what the paper's threat model says it must
 — PCB signatures and freshness in the beaconing engine, revocation
 signatures and freshness in path servers and end-host daemons, hop-field
@@ -19,7 +19,7 @@ which patches the checks out for the duration of a campaign; the shipped
 classes have no switch that does.
 
 The second half turns the crucible loose: adversarial composite schedules
-(:func:`repro.netsim.crucible.generate_adversarial_schedule`) run
+(:func:`repro.harness.crucible.generate_adversarial_schedule`) run
 all-green against the hardened world, and with the test-only
 ``bug="trust-revocations"`` regression the security invariants catch the
 forged/replayed revocations and ddmin shrinks the composite schedule to a
@@ -36,11 +36,10 @@ import tempfile
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.overload import OverloadGuard
 from repro.endhost.daemon import Daemon
 from repro.experiments.registry import Comparison, ExperimentResult
-from repro.netsim.adversary import AttackOutcome, ByzantineAdversary
-from repro.netsim.crucible import (
+from repro.harness.adversary import AttackOutcome, ByzantineAdversary
+from repro.harness.crucible import (
     TOPOLOGIES,
     generate_adversarial_schedule,
     measure_goodput,
@@ -50,6 +49,7 @@ from repro.netsim.crucible import (
     shrink_schedule,
 )
 from repro.obs import Telemetry
+from repro.resilience.overload import OverloadGuard
 from repro.scion.crypto.keys import SymmetricKey
 from repro.scion.network import ScionNetwork
 from repro.sciera.lightningfilter import LightningFilter

@@ -28,7 +28,6 @@ import random
 import statistics
 from typing import Dict, List, Tuple
 
-from repro.core.retry import RetryPolicy
 from repro.endhost.bootstrap import (
     BootstrapError,
     Bootstrapper,
@@ -41,6 +40,7 @@ from repro.endhost.policy import LowestLatencyPolicy
 from repro.experiments.common import diamond_topology, percentile
 from repro.experiments.registry import Comparison, ExperimentResult
 from repro.netsim.chaos import FaultInjector, FaultProfile
+from repro.resilience.retry import RetryPolicy
 from repro.scion.addr import HostAddr, IA
 from repro.scion.network import ScionNetwork
 

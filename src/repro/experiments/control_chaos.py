@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.retry import RetryPolicy
 from repro.core.supervisor import Supervisor
 from repro.experiments.common import diamond_topology
 from repro.experiments.registry import Comparison, ExperimentResult
 from repro.netsim.chaos import FaultInjector, FaultProfile
+from repro.resilience.retry import RetryPolicy
 from repro.scion.addr import IA
 from repro.scion.network import ScionNetwork
 

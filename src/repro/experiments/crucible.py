@@ -3,12 +3,12 @@
 The resilience experiments so far (``chaos``, ``control_chaos``,
 ``revocation_storm``, ``overload``) each exercise one hand-written
 scenario.  This experiment turns the crank the other way: the
-:mod:`repro.netsim.crucible` harness generates *random composite* fault
+:mod:`repro.harness.crucible` harness generates *random composite* fault
 schedules — link outages, probe loss/corruption, symmetric and asymmetric
 network partitions, control-service crashes, CA outages, and load surges,
 freely overlapping — and runs each against a fully assembled world on
 both the paper's Figure-1 topology and a seeded random 64-AS topology,
-while the :mod:`repro.netsim.invariants` registry checks every global
+while the :mod:`repro.harness.invariants` registry checks every global
 safety property continuously and every recovery property after the
 faults heal.
 
@@ -33,7 +33,7 @@ import os
 import tempfile
 
 from repro.experiments.registry import Comparison, ExperimentResult
-from repro.netsim.crucible import (
+from repro.harness.crucible import (
     generate_schedule,
     replay_artifact,
     run_schedule,

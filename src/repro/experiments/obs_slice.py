@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict
 
 from repro.experiments.registry import Comparison, ExperimentResult
-from repro.netsim.crucible import (
+from repro.harness.crucible import (
     default_crucible_slos,
     generate_schedule,
     run_schedule,

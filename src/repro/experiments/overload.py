@@ -6,7 +6,7 @@ and "SCION Five Years Later" stresses that control-plane services must
 survive *surging* load, not just faults.  This experiment subjects a real
 :class:`~repro.scion.control.path_server.LocalPathServer` to a seeded
 open-loop lookup storm (:class:`~repro.netsim.chaos.LoadSurge`) behind the
-full :mod:`repro.core.overload` discipline: deadline-aware admission
+full :mod:`repro.resilience.overload` discipline: deadline-aware admission
 (work that cannot finish inside the client's budget is rejected up
 front), CoDel-style shedding of sheddable arrivals when queueing delay
 stays above target (critical priority-0 work keeps flowing), a shared
@@ -40,16 +40,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.overload import (
+from repro.experiments.common import diamond_topology, percentile
+from repro.experiments.registry import Comparison, ExperimentResult
+from repro.netsim.chaos import FaultInjector, LoadSurge
+from repro.obs import build_health_report
+from repro.resilience.overload import (
     CircuitBreaker,
     OverloadGuard,
     OverloadRejected,
     RetryBudget,
 )
-from repro.experiments.common import diamond_topology, percentile
-from repro.experiments.registry import Comparison, ExperimentResult
-from repro.netsim.chaos import FaultInjector, LoadSurge
-from repro.obs import build_health_report
 from repro.scion.addr import IA
 from repro.scion.network import ScionNetwork
 

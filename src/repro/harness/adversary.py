@@ -10,7 +10,7 @@ two things, separately:
   fake revocation quarantining segments, tampered packet delivered,
   spoofed flood admitted)?  On the hardened stack every one of these must
   be False; the ``security-*`` invariants in
-  :mod:`repro.netsim.invariants` assert exactly that.
+  :mod:`repro.harness.invariants` assert exactly that.
 * **detected** — did the stack *attribute* the attack (a rejection counter
   moved, a drop verdict named the tamper)?  Fail-closed without
   attribution is still a finding: an operator who cannot see the attack
@@ -440,7 +440,7 @@ class ByzantineAdversary:
         """Request flood (at priority 2) against an admission-controlled
         service.
 
-        ``guard`` is the service's :class:`~repro.core.overload.OverloadGuard`.
+        ``guard`` is the service's :class:`~repro.resilience.overload.OverloadGuard`.
         Success means the flood was absorbed without shedding — the
         attacker monopolises capacity and honest traffic pays.
         """

@@ -6,7 +6,7 @@ class the chaos layer knows — link outages, probe loss/corruption,
 network partitions (symmetric and asymmetric), control-service crashes,
 CA outages, and load surges — and runs each schedule against a fully
 assembled world (network, supervisor, daemons, monitors, overload guards,
-breakers, telemetry) while a :class:`~repro.netsim.invariants
+breakers, telemetry) while a :class:`~repro.harness.invariants
 .InvariantChecker` continuously evaluates global always-invariants and,
 after every fault has healed, the eventually-invariants.
 
@@ -37,7 +37,7 @@ Adversarial faults (:data:`ADVERSARY_KINDS`, drawn by
 the default generator never draws them, so every legacy seeded schedule —
 and its fault digest — is byte-identical to before the adversary existed.
 The Byzantine attacks themselves come from
-:class:`repro.netsim.adversary.ByzantineAdversary`, which owns a private
+:class:`repro.harness.adversary.ByzantineAdversary`, which owns a private
 RNG for the same reason.
 """
 
@@ -51,16 +51,17 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.overload import CircuitBreaker, OverloadGuard, OverloadRejected
 from repro.core.supervisor import Supervisor
 from repro.core.monitoring import ConnectivityMonitor
 from repro.endhost.daemon import Daemon
 from repro.errors import ReproError
-from repro.netsim.adversary import ByzantineAdversary
+from repro.harness.adversary import ByzantineAdversary
+from repro.harness.invariants import InvariantChecker, Violation
 from repro.netsim.chaos import FaultInjector, FaultProfile, LoadSurge
-from repro.netsim.invariants import InvariantChecker, Violation
 from repro.netsim.simulator import Simulator
 from repro.obs import FlightRecorder, Profiler, Slo, SloEngine, Telemetry
+from repro.resilience.overload import CircuitBreaker, OverloadGuard, OverloadRejected
+from repro.sciera.topology_data import build_sciera_topology
 from repro.scion.addr import IA
 from repro.scion.network import ScionNetwork
 from repro.scion.topology import (
@@ -298,8 +299,6 @@ def _mesh5() -> GlobalTopology:
 
 
 def _fig1(seed: int) -> GlobalTopology:
-    from repro.sciera import build_sciera_topology
-
     return build_sciera_topology()
 
 
@@ -382,7 +381,7 @@ class CrucibleWorld:
     """The fully assembled system under test for one schedule.
 
     This is the *world* object the invariants in
-    :mod:`repro.netsim.invariants` are written against: ``network``,
+    :mod:`repro.harness.invariants` are written against: ``network``,
     ``sim``, ``supervisor``, ``daemons``, ``guards``, ``breakers``,
     ``served`` (recent :class:`ServedPath` observations),
     ``workload_pairs``, ``baseline_goodput``/``goodput_floor``/

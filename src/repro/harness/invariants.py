@@ -8,11 +8,11 @@ and, once the faults stop, it returns to doing Y (eventually-invariants)".
 — forwarding and control-plane safety properties stated explicitly and
 checked mechanically.
 
-This module is the invariant registry for the :mod:`repro.netsim.crucible`
+This module is the invariant registry for the :mod:`repro.harness.crucible`
 harness.  Each :class:`Invariant` is a named predicate over a *world* —
 the duck-typed bundle of simulator, network, supervisor, daemons, guards,
 breakers, and recent served-path observations that the crucible assembles
-(see :class:`repro.netsim.crucible.CrucibleWorld` for the full protocol).
+(see :class:`repro.harness.crucible.CrucibleWorld` for the full protocol).
 Checks return ``None`` when the invariant holds or a human-readable detail
 string when it does not; the :class:`InvariantChecker` turns details into
 :class:`Violation` records with timestamps and keeps the scoreboard.
@@ -29,7 +29,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.overload import BreakerState
+from repro.obs import validate_trace
+from repro.resilience.overload import BreakerState
 
 ALWAYS = "always"
 EVENTUALLY = "eventually"
@@ -274,7 +275,6 @@ def check_trace_trees_valid(world, now: float) -> Optional[str]:
     telemetry = world.telemetry
     if telemetry is None or not telemetry.tracer.enabled:
         return None
-    from repro.obs import validate_trace
 
     by_trace: Dict[str, list] = {}
     for span in telemetry.tracer.spans():
@@ -289,7 +289,7 @@ def check_trace_trees_valid(world, now: float) -> Optional[str]:
 # -- security invariants (adversarial worlds) ---------------------------------------
 #
 # These predicates state what the hardened stack guarantees *while under
-# attack* by a Byzantine adversary (:mod:`repro.netsim.adversary`).  They
+# attack* by a Byzantine adversary (:mod:`repro.harness.adversary`).  They
 # self-gate on ``world.adversary`` — worlds without one (every legacy
 # schedule) return immediately, consume no randomness, and stay out of
 # every seeded digest.

@@ -5,37 +5,3 @@ and the SCIERA deployment run on: a discrete-event simulator, a geographic
 latency model, links with failure state, failure/maintenance schedules, and
 a BGP-like single-path baseline standing in for the IP Internet.
 """
-
-from repro.netsim.simulator import Simulator, Timer
-from repro.netsim.geo import GeoPoint, haversine_km, propagation_delay_s
-from repro.netsim.link import Link, LinkStats
-from repro.netsim.failures import LinkEvent, FailureSchedule, MaintenanceWindow
-from repro.netsim.chaos import (
-    ChaosError,
-    FaultEvent,
-    FaultInjector,
-    FaultProfile,
-    FaultyServer,
-    ServerOutage,
-)
-from repro.netsim.ip import IpInternet
-
-__all__ = [
-    "Simulator",
-    "Timer",
-    "GeoPoint",
-    "haversine_km",
-    "propagation_delay_s",
-    "Link",
-    "LinkStats",
-    "LinkEvent",
-    "FailureSchedule",
-    "MaintenanceWindow",
-    "ChaosError",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultProfile",
-    "FaultyServer",
-    "ServerOutage",
-    "IpInternet",
-]

@@ -177,7 +177,7 @@ def build_health_report(
     ``supervisor``, ``monitor``, and ``events`` are optional — the report
     covers whatever operational layers the experiment actually stood up.
     ``guards`` maps service names to their
-    :class:`~repro.core.overload.OverloadGuard`; guards past their healthy
+    :class:`~repro.resilience.overload.OverloadGuard`; guards past their healthy
     operating point at ``now`` surface as OVERLOADED (a tier *below*
     DEGRADED/DOWN — the service answers, just late or selectively).
     ``slo`` is an optional :class:`~repro.obs.slo.SloEngine`; its

@@ -15,16 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from typing import TYPE_CHECKING
-
 from repro.errors import ReproError
 from repro.obs import CounterBackedStats, Telemetry, resolve
+from repro.resilience.overload import OverloadGuard
 from repro.scion.addr import IA
 from repro.scion.control.segments import Beacon
 from repro.scion.revocation import Revocation, segment_crosses
-
-if TYPE_CHECKING:  # imported lazily: repro.core pulls in scion modules
-    from repro.core.overload import OverloadGuard
 
 
 #: Modeled lookup round-trip times: local path server to a core path server,
@@ -392,7 +388,7 @@ class LocalPathServer:
         #: attribute.  Admission is consulted only
         #: when the caller supplies ``now`` (legacy now-less lookups — and
         #: their seeded digests — bypass it); a refused lookup raises
-        #: :exc:`~repro.core.overload.OverloadRejected` and the admitted
+        #: :exc:`~repro.resilience.overload.OverloadRejected` and the admitted
         #: queueing delay is added to the returned :class:`LookupTiming`.
         self.guard: Optional[OverloadGuard] = None
         tel = resolve(telemetry)
@@ -574,7 +570,7 @@ class LocalPathServer:
 
         With an overload guard installed and ``now`` given, the lookup goes
         through admission first: a refusal raises
-        :exc:`~repro.core.overload.OverloadRejected` (shed / queue full /
+        :exc:`~repro.resilience.overload.OverloadRejected` (shed / queue full /
         cannot meet ``deadline_s``), and an admitted lookup's modeled
         queueing delay is added to the returned timing — a loaded server
         answers late before it stops answering.

@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from typing import TYPE_CHECKING
-
+from repro.resilience.overload import OverloadGuard
 from repro.scion.crypto.cppki import Certificate, CertificateError, CertType
 from repro.scion.crypto.rsa import RsaKeyPair, RsaPublicKey
-
-if TYPE_CHECKING:  # imported lazily: repro.core pulls in scion modules
-    from repro.core.overload import OverloadGuard
 
 #: Default AS certificate lifetime: 3 days, per the paper's "typically just
 #: a few days".
@@ -64,7 +60,7 @@ class CaService:
         #: Renewals are scheduled well ahead of expiry, so they ride
         #: through admission as critical work (priority 0: a shed renewal
         #: would eventually take the AS's beacons down with it).  A refusal
-        #: raises :exc:`~repro.core.overload.OverloadRejected`, which the
+        #: raises :exc:`~repro.resilience.overload.OverloadRejected`, which the
         #: supervisor's retry loop treats as transient.
         self.guard: Optional[OverloadGuard] = None
         self._serial = 0

@@ -380,7 +380,7 @@ class ScionNetwork:
         path server's overload admission (when its guard is installed);
         deadline-carrying lookups bypass the combination memo — admission
         must see every request, and an overloaded server may refuse this
-        one (:exc:`~repro.core.overload.OverloadRejected` propagates).
+        one (:exc:`~repro.resilience.overload.OverloadRejected` propagates).
         ``priority`` orders shedding at the guard; critical traffic
         (priority 0 by default) is never CoDel-shed.
         """

@@ -1,8 +1,9 @@
-"""Unit tests for the overload-control toolkit (core/overload.py)."""
+"""Unit tests for the overload-control toolkit (resilience/overload.py)."""
 
 import pytest
 
-from repro.core.overload import (
+from repro.obs import Telemetry
+from repro.resilience.overload import (
     Admission,
     AdmissionVerdict,
     BreakerState,
@@ -12,7 +13,6 @@ from repro.core.overload import (
     OverloadRejected,
     RetryBudget,
 )
-from repro.obs import Telemetry
 
 
 class TestOverloadGuard:

@@ -21,7 +21,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.overload import AdmissionVerdict, CircuitBreaker, OverloadGuard
+from repro.resilience.overload import AdmissionVerdict, CircuitBreaker, OverloadGuard
 
 # Arrival gaps and service times small enough to provoke queueing, large
 # enough to avoid degenerate float dust.

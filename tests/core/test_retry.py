@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.retry import RetryError, RetryPolicy
 from repro.errors import ReproError
+from repro.resilience.retry import RetryError, RetryPolicy
 
 
 class TransientFailure(ReproError):

@@ -7,9 +7,9 @@ that never down-marks an interface.
 
 import pytest
 
-from repro.core.overload import OverloadGuard
 from repro.endhost.daemon import Daemon
 from repro.endhost.pan import HostRegistry, ScionHost
+from repro.resilience.overload import OverloadGuard
 from repro.scion.addr import IA
 from tests.scion.reference_codec import queue_full
 

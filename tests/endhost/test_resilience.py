@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.core.retry import RetryPolicy
 from repro.endhost.bootstrap import (
     BootstrapServer,
     Bootstrapper,
@@ -17,6 +16,7 @@ from repro.endhost.daemon import Daemon
 from repro.endhost.pan import AppLibraryMode, HostRegistry, PanContext, ScionHost
 from repro.endhost.policy import LowestLatencyPolicy
 from repro.netsim.chaos import FaultInjector, FaultProfile
+from repro.resilience.retry import RetryPolicy
 from repro.scion.addr import HostAddr, IA
 from repro.scion.control.path_server import PathServerError
 

@@ -9,7 +9,7 @@ determinism break without paying the full campaign twice.
 import pytest
 
 from repro.experiments.crucible import SEED, campaign_digest, run_shrink_demo
-from repro.netsim.crucible import generate_schedule, run_schedule
+from repro.harness.crucible import generate_schedule, run_schedule
 
 
 @pytest.fixture(scope="module")

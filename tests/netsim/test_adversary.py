@@ -9,12 +9,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.overload import OverloadGuard
 from repro.endhost.daemon import Daemon
-from repro.netsim.adversary import ByzantineAdversary
-from repro.netsim.crucible import TOPOLOGIES, CrucibleWorld, generate_schedule
-from repro.netsim.invariants import check_forged_beacon_never_stored
+from repro.harness.adversary import ByzantineAdversary
+from repro.harness.crucible import TOPOLOGIES, CrucibleWorld, generate_schedule
+from repro.harness.invariants import check_forged_beacon_never_stored
 from repro.obs import Telemetry
+from repro.resilience.overload import OverloadGuard
 from repro.scion.crypto.keys import SymmetricKey
 from repro.scion.network import ScionNetwork
 from repro.sciera.lightningfilter import LightningFilter

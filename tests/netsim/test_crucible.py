@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.netsim.crucible import (
+from repro.harness.crucible import (
     FAULT_KINDS,
     CrucibleError,
     FaultSpec,
@@ -17,7 +17,7 @@ from repro.netsim.crucible import (
     save_artifact,
     shrink_schedule,
 )
-from repro.netsim.invariants import (
+from repro.harness.invariants import (
     InvariantChecker,
     check_no_forwarding_loops,
     standard_invariants,

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro.netsim.crucible import (
+from repro.harness.crucible import (
     ADVERSARY_KINDS,
     FAULT_KINDS,
     CrucibleError,

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.chaos import FaultInjector
-from repro.netsim.crucible import (
+from repro.harness.crucible import (
     TOPOLOGIES,
     generate_schedule,
     run_schedule,

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.monitoring import Alert, ConnectivityMonitor
 from repro.netsim.chaos import FaultInjector
-from repro.netsim.crucible import TOPOLOGIES
+from repro.harness.crucible import TOPOLOGIES
 from repro.netsim.simulator import Simulator
 from repro.obs import EventLog, Telemetry
 from repro.scion.addr import IA

@@ -180,7 +180,7 @@ class TestHealthReport:
         assert doc["status"] == "OK"
 
     def test_overloaded_is_its_own_status_tier(self):
-        from repro.core.overload import OverloadGuard
+        from repro.resilience.overload import OverloadGuard
 
         network, _ = self._network()
         now = float(network.timestamp)
@@ -197,7 +197,7 @@ class TestHealthReport:
         assert "ps-a: queue delay" in text
 
     def test_down_outranks_overloaded(self):
-        from repro.core.overload import OverloadGuard
+        from repro.resilience.overload import OverloadGuard
 
         network, _ = self._network()
         now = float(network.timestamp)
@@ -215,7 +215,7 @@ class TestHealthReport:
             network.set_link_state("a-c2", True)
 
     def test_idle_guard_does_not_surface(self):
-        from repro.core.overload import OverloadGuard
+        from repro.resilience.overload import OverloadGuard
 
         network, _ = self._network()
         now = float(network.timestamp)

@@ -4,7 +4,7 @@ supervisor triggers, and byte-identical dumps across same-seed runs."""
 import json
 
 from repro.core.supervisor import Supervisor
-from repro.netsim.crucible import generate_schedule, run_schedule
+from repro.harness.crucible import generate_schedule, run_schedule
 from repro.obs import (
     FlightRecorder,
     Telemetry,

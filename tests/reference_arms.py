@@ -15,7 +15,6 @@ import random
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
-from repro.core.overload import OverloadGuard
 from repro.experiments import adversary as adversary_exp
 from repro.experiments import overload as overload_exp
 from repro.experiments.common import diamond_topology, percentile
@@ -32,6 +31,7 @@ from repro.experiments.overload import (
 )
 from repro.netsim.chaos import LoadSurge
 from repro.obs import Slo, SloEngine, Telemetry, build_health_report
+from repro.resilience.overload import OverloadGuard
 from repro.scion.control import beaconing as beaconing_module
 from repro.scion.control.segments import Beacon
 from repro.scion.dataplane import router as router_module

@@ -7,7 +7,7 @@ beacon extended by one signed entry must get a fresh value, not its
 parent's cache.
 """
 
-from repro.netsim.crucible import TOPOLOGIES
+from repro.harness.crucible import TOPOLOGIES
 from repro.scion.network import ScionNetwork
 
 

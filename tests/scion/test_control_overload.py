@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.overload import OverloadGuard, OverloadRejected
+from repro.resilience.overload import OverloadGuard, OverloadRejected
 from repro.scion.addr import IA
 from repro.scion.network import ScionNetwork
 from repro.scion.topology import GlobalTopology, LinkType

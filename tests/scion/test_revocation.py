@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.supervisor import Supervisor
 from repro.experiments.common import diamond_topology
-from repro.netsim.crucible import CrucibleWorld, generate_schedule
+from repro.harness.crucible import CrucibleWorld, generate_schedule
 from repro.scion.addr import IA
 from repro.scion.crypto.rsa import RsaKeyPair
 from repro.scion.network import ScionNetwork
