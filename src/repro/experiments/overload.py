@@ -113,8 +113,8 @@ def _run_storm(
     Event-driven on simulated time: a heap of (time, seq, attempt,
     priority) client requests, seeded retry jitter, and the analytic
     queue inside the guard supplying every latency.  A constant-rate
-    sweep point is a surge with no window (multiplier 1).  The guard,
-    budget and breaker report to the network's telemetry.
+    sweep point is a surge with no window (multiplier 1).  The guard and
+    the breaker report to the network's telemetry.
     """
     telemetry = network.telemetry
     name = "protected"
@@ -130,9 +130,7 @@ def _run_storm(
         telemetry=telemetry,
     )
     server.guard = guard
-    budget = RetryBudget(
-        ratio=0.1, capacity=10.0, name=name, telemetry=telemetry
-    )
+    budget = RetryBudget(ratio=0.1, capacity=10.0)
     breaker = CircuitBreaker(
         name=f"{name}-lookup", failure_threshold=10, reset_timeout_s=0.25,
         telemetry=telemetry,

@@ -324,30 +324,17 @@ class RetryBudget:
     enough to ride out blips, not enough to sustain a retry storm.
     """
 
-    def __init__(self, ratio: float = 0.1, capacity: float = 10.0,
-                 name: str = "client", telemetry: Optional[Telemetry] = None):
+    def __init__(self, ratio: float = 0.1, capacity: float = 10.0):
         if ratio < 0:
             raise OverloadError("ratio must be non-negative")
         if capacity <= 0:
             raise OverloadError("capacity must be positive")
         self.ratio = ratio
         self.capacity = capacity
-        self.name = name
         self.tokens = capacity
         #: Retries refused for lack of tokens / retries paid for.
         self.exhausted = 0
         self.spent = 0
-        tel = resolve(telemetry)
-        self._exhausted_counter = tel.metrics.counter(
-            "overload_retry_budget_exhausted_total",
-            "Retries refused because the token bucket was empty.",
-            labels={"client": name},
-        )
-        self._retries_counter = tel.metrics.counter(
-            "overload_retries_spent_total",
-            "Retries the budget paid for.",
-            labels={"client": name},
-        )
 
     def on_request(self) -> None:
         """A fresh (non-retry) request: earn ``ratio`` tokens."""
@@ -358,10 +345,8 @@ class RetryBudget:
         if self.tokens >= 1.0:
             self.tokens -= 1.0
             self.spent += 1
-            self._retries_counter.inc()
             return True
         self.exhausted += 1
-        self._exhausted_counter.inc()
         return False
 
 

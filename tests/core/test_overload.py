@@ -204,16 +204,6 @@ class TestRetryBudget:
                 retries += 1
         assert retries <= 0.1 * 1000 + budget.capacity
 
-    def test_exhaustion_flows_into_metrics(self):
-        tel = Telemetry()
-        budget = RetryBudget(ratio=0.0, capacity=1.0, name="pan",
-                             telemetry=tel)
-        budget.try_retry()
-        budget.try_retry()
-        text = tel.metrics.prometheus_text()
-        assert 'overload_retries_spent_total{client="pan"} 1' in text
-        assert 'overload_retry_budget_exhausted_total{client="pan"} 1' in text
-
     def test_invalid_parameters_raise(self):
         with pytest.raises(OverloadError):
             RetryBudget(ratio=-0.1)

@@ -159,8 +159,6 @@ class TestTelemetrySnapshot:
             "overload_queue_depth",
             "overload_queue_delay_seconds",
             "overload_breaker_transitions_total",
-            "overload_retries_spent_total",
-            "overload_retry_budget_exhausted_total",
         ):
             assert family in prom, family
         assert snap["health_status"] == "OVERLOADED"

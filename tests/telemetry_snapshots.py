@@ -117,8 +117,8 @@ def overload_telemetry_snapshot(seed: int = 17) -> Dict[str, object]:
     """One protected surge slice with full telemetry: the obs/ demo.
 
     Runs the protected stack through a short storm with a live
-    :class:`~repro.obs.Telemetry`, so every admission verdict, shed count,
-    breaker transition, and budget token flows into ONE metrics registry,
+    :class:`~repro.obs.Telemetry`, so every admission verdict, shed count
+    and breaker transition flows into ONE metrics registry,
     and returns the Prometheus export plus a mid-surge health report whose
     status is OVERLOADED (everything is up — just saturated).
     """

@@ -93,7 +93,11 @@ def _defaulted(code, function):
 
 
 def _is_default(value, default) -> bool:
-    if value is default:
+    # ``repro.obs.resolve`` turns a ``None`` telemetry into the no-op
+    # bundle, so passing that bundle sets nothing.  The module is looked up,
+    # not imported: the tracer also runs while ``repro.obs`` initialises.
+    noop = getattr(sys.modules.get("repro.obs"), "NOOP_TELEMETRY", None)
+    if value is default or (default is None and value is noop):
         return True
     try:
         return type(value) is type(default) and bool(value == default)
