@@ -10,7 +10,7 @@ from repro.sciera.analysis import fig5_latency_cdf
 def run(fast: bool = True) -> ExperimentResult:
     dataset = get_campaign(fast)
     result = fig5_latency_cdf(dataset)
-    xs, ys = result.cdf_scion()
+    xs = sorted(result.scion_rtts_ms)
     series = "  CDF sample points (SCION): " + ", ".join(
         f"p{int(p*100)}={xs[min(len(xs)-1, int(p*len(xs)))]:.0f}ms"
         for p in (0.1, 0.25, 0.5, 0.75, 0.9)

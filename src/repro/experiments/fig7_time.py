@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
+import statistics
 
 from repro.experiments.common import campaign_engine_note, get_campaign
 from repro.experiments.registry import Comparison, ExperimentResult
@@ -11,8 +11,9 @@ from repro.sciera.analysis import fig7_ratio_over_time
 
 def _stabilization_row(result) -> Comparison:
     """Ratio variability before vs after the day-7 link arrivals."""
-    before = result.ratio_series[result.bucket_times_days < 7.0]
-    after = result.ratio_series[result.bucket_times_days >= 7.0]
+    pairs = list(zip(result.bucket_times_days, result.ratio_series))
+    before = [ratio for day, ratio in pairs if day < 7.0]
+    after = [ratio for day, ratio in pairs if day >= 7.0]
     if len(before) < 2 or len(after) < 2:
         return Comparison(
             "stabilization", "new EU-US links after Jan 25",
@@ -20,8 +21,8 @@ def _stabilization_row(result) -> Comparison:
         )
     return Comparison(
         "stabilization", "new EU-US links after Jan 25 stabilize the ratio",
-        f"ratio std {float(np.std(before)):.3f} before day 7 vs "
-        f"{float(np.std(after)):.3f} after",
+        f"ratio std {statistics.pstdev(before):.3f} before day 7 vs "
+        f"{statistics.pstdev(after):.3f} after",
     )
 
 
@@ -38,8 +39,8 @@ def run(fast: bool = True) -> ExperimentResult:
         comparisons=[
             Comparison(
                 "typical ratio", "episodes with 15-20% lower SCION RTTs",
-                f"median ratio {float(np.median(series)):.2f} "
-                f"(min {series.min():.2f})",
+                f"median ratio {statistics.median(series):.2f} "
+                f"(min {min(series):.2f})",
             ),
             Comparison(
                 "maintenance spikes", "Jan 21 and after Feb 6",

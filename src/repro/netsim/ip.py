@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 
 @dataclass(frozen=True)
 class IpRoute:
@@ -39,11 +37,12 @@ class IpRoute:
 class IpInternet:
     """Single-path routing over an undirected AS-level graph.
 
-    Edges carry ``latency_s`` (one-way) and an ``up`` flag.
+    Each edge is one ``[latency_s, up]`` list (one-way latency), shared by
+    both directions of ``_adjacency``.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._adjacency: Dict[str, Dict[str, list]] = {}
         self._route_cache: Dict[Tuple[str, str], Optional[IpRoute]] = {}
         self._pair_inflation = None
 
@@ -61,31 +60,24 @@ class IpInternet:
     # -- topology construction -------------------------------------------------
 
     def add_node(self, name: str) -> None:
-        self._graph.add_node(name)
+        self._adjacency.setdefault(name, {})
 
     def add_link(self, a: str, b: str, latency_s: float) -> None:
         if latency_s < 0:
             raise ValueError("latency must be non-negative")
-        self._graph.add_edge(a, b, latency_s=latency_s, up=True)
+        edge = [latency_s, True]
+        self._adjacency.setdefault(a, {})[b] = edge
+        self._adjacency.setdefault(b, {})[a] = edge
         self._route_cache.clear()
 
     # -- failure state ---------------------------------------------------------
 
     def set_link_state(self, a: str, b: str, up: bool) -> None:
-        if not self._graph.has_edge(a, b):
+        edge = self._adjacency.get(a, {}).get(b)
+        if edge is None:
             raise KeyError(f"no IP link between {a!r} and {b!r}")
-        self._graph.edges[a, b]["up"] = up
+        edge[1] = up
         self._route_cache.clear()
-
-    def _up_subgraph(self) -> nx.Graph:
-        edges = [
-            (a, b)
-            for a, b, data in self._graph.edges(data=True)
-            if data.get("up", True)
-        ]
-        sub = self._graph.edge_subgraph(edges).copy() if edges else nx.Graph()
-        sub.add_nodes_from(self._graph.nodes)
-        return sub
 
     # -- routing ---------------------------------------------------------------
 
@@ -96,21 +88,19 @@ class IpInternet:
         prefer the one whose hop sequence is lexicographically smallest
         (a deterministic stand-in for the lowest-router-id tie-break).
         """
-        if src not in self._graph or dst not in self._graph:
+        if src not in self._adjacency or dst not in self._adjacency:
             raise KeyError(f"unknown node in route({src!r}, {dst!r})")
         if src == dst:
             return IpRoute(src, dst, (src,), 0.0)
         key = (src, dst)
         if key in self._route_cache:
             return self._route_cache[key]
-        sub = self._up_subgraph()
-        try:
-            hops = self._bgp_best_path(sub, src, dst)
-        except nx.NetworkXNoPath:
+        hops = self._bgp_best_path(src, dst)
+        if hops is None:
             self._route_cache[key] = None
             return None
         one_way = sum(
-            sub.edges[u, v]["latency_s"] for u, v in zip(hops, hops[1:])
+            self._adjacency[u][v][0] for u, v in zip(hops, hops[1:])
         )
         inflation = 1.0
         if self._pair_inflation is not None:
@@ -123,26 +113,24 @@ class IpInternet:
         self._route_cache[key] = route
         return route
 
-    @staticmethod
-    def _bgp_best_path(graph: nx.Graph, src: str, dst: str) -> List[str]:
-        # BFS by hop count, expanding neighbors in sorted order and keeping
-        # the first path found at the minimal depth: this yields the
-        # hop-count-minimal, lexicographically-smallest path.
-        if not nx.has_path(graph, src, dst):
-            raise nx.NetworkXNoPath(f"{src} -> {dst}")
+    def _bgp_best_path(self, src: str, dst: str) -> Optional[List[str]]:
+        # BFS by hop count over the up links, expanding neighbors in sorted
+        # order and keeping the first path found at the minimal depth: this
+        # yields the hop-count-minimal, lexicographically-smallest path.
         best: Dict[str, List[str]] = {src: [src]}
         frontier = [src]
         while frontier:
             next_frontier: List[str] = []
             for node in sorted(frontier, key=lambda n: best[n]):
-                for neighbor in sorted(graph.neighbors(node)):
+                links = self._adjacency[node].items()
+                for neighbor in sorted(n for n, (_, up) in links if up):
                     if neighbor not in best:
                         best[neighbor] = best[node] + [neighbor]
                         next_frontier.append(neighbor)
             if dst in best:
                 return best[dst]
             frontier = next_frontier
-        raise nx.NetworkXNoPath(f"{src} -> {dst}")
+        return None
 
     def rtt_s(self, src: str, dst: str) -> Optional[float]:
         """Round-trip time along the current BGP route, or None."""

@@ -13,7 +13,7 @@ Two styles of use are supported:
 Determinism: ties in event time are broken by a monotonically increasing
 sequence number, so two runs with the same inputs produce identical
 schedules. All randomness in the wider system goes through explicitly
-seeded ``random.Random`` / ``numpy`` generators, never through this module.
+seeded ``random.Random`` generators, never through this module.
 
 Performance notes (the kernel hot paths; ``packet_events`` in ``bench/``):
 

@@ -37,10 +37,11 @@ one overload discipline every request-serving layer uses:
   server) until ``reset_timeout_s`` has elapsed; then exactly one probe
   is let through, and its outcome closes or re-opens the breaker.
 
-Everything is observable: admission verdicts, shed counts (by priority),
-queue depth and delay, breaker transitions, and budget exhaustion flow
-through the ``obs`` registry when a :class:`~repro.obs.Telemetry` is
-attached, so a status page can report OVERLOADED before anything is DOWN.
+Admission verdicts, shed counts (by priority), queue depth and delay, and
+breaker transitions flow through the ``obs`` registry when a
+:class:`~repro.obs.Telemetry` is attached, so a status page can report
+OVERLOADED before anything is DOWN (the budget keeps plain ``spent`` and
+``exhausted`` counts).
 All components are strictly opt-in (``.guard`` is None until a caller
 assigns one), so legacy experiments and their seeded digests are
 byte-identical unless a caller wires a guard in.

@@ -8,20 +8,23 @@ paper-vs-measured rows directly.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.sciera.multiping import CampaignDataset, DAY_S
 
 
-def _cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted values and cumulative fractions (the classic empirical CDF)."""
-    xs = np.sort(np.asarray(values, dtype=float))
-    ys = np.arange(1, len(xs) + 1) / len(xs)
-    return xs, ys
+def percentile(values: Sequence[float], q: float) -> float:
+    """``numpy.percentile(values, q)`` (linear), bit for bit: numpy's index
+    ``(n - 1) * (q / 100)`` and its two-sided interpolation."""
+    data = sorted(values)
+    index = (len(data) - 1) * (q / 100)
+    low = math.floor(index)
+    a, b = data[low], data[min(low + 1, len(data) - 1)]
+    t = index - low
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 # --------------------------------------------------------------------------------
@@ -31,8 +34,8 @@ def _cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Fig5Result:
-    scion_rtts_ms: np.ndarray
-    ip_rtts_ms: np.ndarray
+    scion_rtts_ms: List[float]
+    ip_rtts_ms: List[float]
     scion_median_ms: float
     ip_median_ms: float
     median_reduction_pct: float
@@ -43,9 +46,6 @@ class Fig5Result:
     ip_ping_count: int
     excluded_intervals: int
 
-    def cdf_scion(self) -> Tuple[np.ndarray, np.ndarray]:
-        return _cdf(self.scion_rtts_ms)
-
 
 def fig5_latency_cdf(dataset: CampaignDataset) -> Fig5Result:
     """RTT distributions, applying the paper's stall-exclusion filter."""
@@ -55,13 +55,13 @@ def fig5_latency_cdf(dataset: CampaignDataset) -> Fig5Result:
     ip = [r.ip_rtt_s * 1000 for r in valid if r.ip_rtt_s is not None]
     if not scion or not ip:
         raise ValueError("campaign produced no usable samples")
-    scion_median = float(np.median(scion))
-    ip_median = float(np.median(ip))
-    scion_p90 = float(np.percentile(scion, 90))
-    ip_p90 = float(np.percentile(ip, 90))
+    scion_median = statistics.median(scion)
+    ip_median = statistics.median(ip)
+    scion_p90 = percentile(scion, 90)
+    ip_p90 = percentile(ip, 90)
     return Fig5Result(
-        scion_rtts_ms=np.asarray(scion),
-        ip_rtts_ms=np.asarray(ip),
+        scion_rtts_ms=scion,
+        ip_rtts_ms=ip,
         scion_median_ms=scion_median,
         ip_median_ms=ip_median,
         median_reduction_pct=100.0 * (1 - scion_median / ip_median),
@@ -103,7 +103,7 @@ def fig6_ratio_cdf(dataset: CampaignDataset) -> Fig6Result:
         ratios[pair] = statistics.fmean(scion_vals) / statistics.fmean(ip_vals)
     if not ratios:
         raise ValueError("no pair had both SCION and IP samples")
-    values = np.asarray(list(ratios.values()))
+    values = list(ratios.values())
     outliers = sorted(
         ((src, dst, ratio) for (src, dst), ratio in ratios.items()
          if ratio > 2.0),
@@ -111,9 +111,9 @@ def fig6_ratio_cdf(dataset: CampaignDataset) -> Fig6Result:
     )
     return Fig6Result(
         pair_ratios=ratios,
-        frac_below_1=float((values < 1.0).mean()),
-        frac_below_1_25=float((values < 1.25).mean()),
-        max_ratio=float(values.max()),
+        frac_below_1=sum(v < 1.0 for v in values) / len(values),
+        frac_below_1_25=sum(v < 1.25 for v in values) / len(values),
+        max_ratio=max(values),
         outlier_pairs=outliers,
     )
 
@@ -125,13 +125,13 @@ def fig6_ratio_cdf(dataset: CampaignDataset) -> Fig6Result:
 
 @dataclass
 class Fig7Result:
-    bucket_times_days: np.ndarray
-    ratio_series: np.ndarray          # mean over pairs of per-bucket ratio
+    bucket_times_days: List[float]
+    ratio_series: List[float]         # mean over pairs of per-bucket ratio
     baseline: float                   # the IP baseline (1.0)
     spike_days: List[float]           # buckets where the ratio jumps
 
     def max_spike(self) -> float:
-        return float(self.ratio_series.max())
+        return max(self.ratio_series)
 
 
 def fig7_ratio_over_time(dataset: CampaignDataset) -> Fig7Result:
@@ -154,11 +154,11 @@ def fig7_ratio_over_time(dataset: CampaignDataset) -> Fig7Result:
     if not buckets:
         raise ValueError("no ratio samples")
     times = sorted(buckets)
-    series = np.asarray([buckets[t][0] / buckets[t][1] for t in times])
-    day_times = np.asarray([t * bucket_s / DAY_S for t in times])
-    typical = float(np.median(series))
+    series = [buckets[t][0] / buckets[t][1] for t in times]
+    day_times = [t * bucket_s / DAY_S for t in times]
+    typical = statistics.median(series)
     spikes = [
-        float(day) for day, value in zip(day_times, series)
+        day for day, value in zip(day_times, series)
         if value > typical * 1.03
     ]
     return Fig7Result(

@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.scion.addr import IA
 from repro.sciera.build import ScieraWorld
 
@@ -33,10 +31,6 @@ class Fig10aResult:
     pair_inflation: Dict[Tuple[str, str], float]
     frac_near_1: float        # inflation <= 1.02
     frac_below_1_2: float
-
-    def cdf(self) -> Tuple[np.ndarray, np.ndarray]:
-        xs = np.sort(np.asarray(list(self.pair_inflation.values())))
-        return xs, np.arange(1, len(xs) + 1) / len(xs)
 
 
 def fig10a_latency_inflation(
@@ -57,11 +51,11 @@ def fig10a_latency_inflation(
             inflation[(src, dst)] = rtts[1] / rtts[0]
     if not inflation:
         raise ValueError("no pair had two active paths")
-    values = np.asarray(list(inflation.values()))
+    values = list(inflation.values())
     return Fig10aResult(
         pair_inflation=inflation,
-        frac_near_1=float((values <= 1.02).mean()),
-        frac_below_1_2=float((values < 1.2).mean()),
+        frac_near_1=sum(v <= 1.02 for v in values) / len(values),
+        frac_below_1_2=sum(v < 1.2 for v in values) / len(values),
     )
 
 
@@ -83,7 +77,7 @@ def _diverse_subset(metas, k: int):
 
 @dataclass
 class Fig10bResult:
-    disjointness: np.ndarray  # one value per path combination
+    disjointness: List[float]  # one value per path combination
     frac_fully_disjoint: float
     frac_at_least_0_7: float
     combinations: int
@@ -111,10 +105,9 @@ def fig10b_path_disjointness(
         )
     if not values:
         raise ValueError("no path combinations found")
-    array = np.asarray(values)
     return Fig10bResult(
-        disjointness=array,
-        frac_fully_disjoint=float((array >= 0.999).mean()),
-        frac_at_least_0_7=float((array >= 0.7).mean()),
+        disjointness=values,
+        frac_fully_disjoint=sum(v >= 0.999 for v in values) / len(values),
+        frac_at_least_0_7=sum(v >= 0.7 for v in values) / len(values),
         combinations=len(values),
     )

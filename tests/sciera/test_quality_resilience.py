@@ -29,12 +29,6 @@ class TestFig10a:
         result = fig10a_latency_inflation(world, FIG8_ASES)
         assert result.frac_below_1_2 > 0.5
 
-    def test_cdf_monotone(self, world):
-        result = fig10a_latency_inflation(world, FIG8_ASES)
-        xs, ys = result.cdf()
-        assert list(xs) == sorted(xs)
-        assert ys[-1] == pytest.approx(1.0)
-
 
 class TestFig10b:
     def test_disjointness_in_unit_interval(self, world):
