@@ -143,10 +143,10 @@ def fig10c_link_failure_sim(
         rng.shuffle(order)
         # node -> neighbour -> live parallel links; self-loops never
         # change a component, so they are left out.
-        alive: Dict[str, Dict[str, int]] = {node: {} for node in adjacency}
-        for u, v, _ in edge_list:
-            if u != v:
-                alive[u][v] = alive[v][u] = alive[u].get(v, 0) + 1
+        alive = {
+            u: {v: len(links) for v, links in neighbours.items() if v != u}
+            for u, neighbours in adjacency.items()
+        }
         pair_alive = dict.fromkeys(single, True)
         single_connected = len(single)
         for step in range(steps):
